@@ -226,6 +226,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAdjacentSwapCodec -fuzztime=30s ./internal/perm
 	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
+	$(GO) test -fuzz=FuzzEventJSON -fuzztime=30s -fuzzminimizetime=5s ./internal/telemetry
 
 cover:
 	$(GO) test -cover ./...

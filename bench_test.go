@@ -1,13 +1,17 @@
 package rtmac_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"rtmac"
 	"rtmac/internal/experiment"
+	"rtmac/internal/monitor"
 	"rtmac/internal/perm"
 	"rtmac/internal/sim"
+	"rtmac/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------------
@@ -279,6 +283,99 @@ func BenchmarkPermutationRankUnrank(b *testing.B) {
 			b.Fatal(err)
 		}
 		p = q
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Event-plane layer benchmarks: one op is one event of a recorded 300-interval
+// DB-DP control stream, so ns/op and allocs/op are per-event costs of the
+// strict monitor, the JSONL encoder and the stream decoder in isolation.
+// ---------------------------------------------------------------------------
+
+// benchStream records the control scenario's full event stream.
+func benchStream(b *testing.B) []byte {
+	b.Helper()
+	s := newHotPathSim(b, rtmac.DBDP())
+	var buf bytes.Buffer
+	stream := s.StreamEvents(&buf)
+	if err := s.Run(300); err != nil {
+		b.Fatal(err)
+	}
+	if err := stream.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func benchEvents(b *testing.B) []telemetry.Event {
+	b.Helper()
+	events, err := telemetry.DecodeJSONL(bytes.NewReader(benchStream(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return events
+}
+
+func BenchmarkMonitorEmit(b *testing.B) {
+	events := benchEvents(b)
+	cfg, err := monitor.InferConfig(events)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Strict = true
+	mon, err := monitor.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(events)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			if mon, err = monitor.New(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		mon.Emit(events[j])
+	}
+	b.StopTimer()
+	if err := mon.Err(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkJSONLEmit(b *testing.B) {
+	events := benchEvents(b)
+	sink := telemetry.NewJSONL(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink.Emit(events[i%len(events)])
+	}
+	b.StopTimer()
+	if err := sink.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkDecodeEvents(b *testing.B) {
+	data := benchStream(b)
+	dec := telemetry.NewDecoder(bytes.NewReader(data))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := dec.Next()
+		if err == io.EOF {
+			b.StopTimer()
+			dec = telemetry.NewDecoder(bytes.NewReader(data))
+			b.StartTimer()
+			_, err = dec.Next()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

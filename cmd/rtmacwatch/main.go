@@ -254,14 +254,17 @@ func tailSSE(ctx context.Context, url string, eng *watch.Engine) (int64, error) 
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var n int64
+	var (
+		n   int64
+		dec telemetry.Decoder
+	)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if !bytes.HasPrefix(line, []byte("data: ")) {
 			continue // SSE comments (keepalives) and blank separators
 		}
-		var ev telemetry.Event
-		if err := json.Unmarshal(line[len("data: "):], &ev); err != nil {
+		ev, err := dec.Decode(line[len("data: "):])
+		if err != nil {
 			return n, fmt.Errorf("event %d: %w", n, err)
 		}
 		eng.Emit(ev)
@@ -298,7 +301,7 @@ func (p alertPrinter) Emit(ev telemetry.Event) {
 		return
 	}
 	state := watch.StateResolved
-	if ev.Fields["state"] == 1 {
+	if ev.Fields.Get("state") == 1 {
 		state = watch.StateFiring
 	}
 	fmt.Fprintf(p.out, "k=%d link=%d %s %s: %s\n", ev.K, ev.Link, ev.Check, state, ev.Msg)

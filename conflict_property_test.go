@@ -158,8 +158,8 @@ func TestConcurrentTransmittersFormIndependentSet(t *testing.T) {
 					if ev.Kind != "tx" {
 						continue
 					}
-					dur := rtmac.Time(ev.Fields["dur"])
-					isCollided := ev.Fields["outcome"] == 2
+					dur := rtmac.Time(ev.Fields.Get("dur"))
+					isCollided := ev.Fields.Get("outcome") == 2
 					if isCollided {
 						collided++
 					}

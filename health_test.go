@@ -65,7 +65,7 @@ func TestWatchdogFiresEndToEnd(t *testing.T) {
 		if ev.Kind != "stall" || ev.Link != -1 {
 			t.Fatalf("unexpected event %+v", ev)
 		}
-		if ev.Fields["overrun_ns"] <= 0 {
+		if ev.Fields.Get("overrun_ns") <= 0 {
 			t.Fatalf("stall without positive overrun: %+v", ev)
 		}
 	}

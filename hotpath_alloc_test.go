@@ -21,14 +21,14 @@ import (
 
 // newHotPathSim builds the control scenario used by the BenchmarkInterval*
 // benchmarks: 10 links, Bernoulli 0.78 arrivals, 99% delivery ratio.
-func newHotPathSim(t *testing.T, protocol rtmac.Protocol) *rtmac.Simulation {
-	t.Helper()
-	return newHotPathSimConflicts(t, protocol, nil)
+func newHotPathSim(tb testing.TB, protocol rtmac.Protocol) *rtmac.Simulation {
+	tb.Helper()
+	return newHotPathSimConflicts(tb, protocol, nil)
 }
 
 // newHotPathSimConflicts is newHotPathSim with an explicit conflict graph.
-func newHotPathSimConflicts(t *testing.T, protocol rtmac.Protocol, conflicts *rtmac.ConflictGraph) *rtmac.Simulation {
-	t.Helper()
+func newHotPathSimConflicts(tb testing.TB, protocol rtmac.Protocol, conflicts *rtmac.ConflictGraph) *rtmac.Simulation {
+	tb.Helper()
 	links := make([]rtmac.Link, 10)
 	for i := range links {
 		links[i] = rtmac.Link{
@@ -45,7 +45,7 @@ func newHotPathSimConflicts(t *testing.T, protocol rtmac.Protocol, conflicts *rt
 		Protocol:  protocol,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
@@ -107,22 +107,43 @@ func TestHotPathZeroAlloc(t *testing.T) {
 // branches, and the medium's neighborhood busy counters) must stay
 // allocation-free per interval once warm, with observability disabled.
 func TestHotPathZeroAllocConflictGraph(t *testing.T) {
-	const (
-		warmup = 200
-		runs   = 100
-	)
 	complete, err := rtmac.CompleteConflicts(10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireZeroAlloc(t, complete, nil)
+}
+
+// allHotPathProtocols is every shipped policy.
+func allHotPathProtocols() map[string]rtmac.Protocol {
+	m := hotPathProtocols()
+	m["eldf"] = rtmac.ELDF(rtmac.PaperInfluence())
+	m["dcf"] = rtmac.DCF()
+	return m
+}
+
+// requireZeroAlloc runs every protocol on the given complete graph and on
+// the two-clique graph, with a plane attached by attach when it is non-nil,
+// and demands zero allocations per steady-state interval. The check attach
+// returns, when non-nil, runs after the measurement to prove the plane
+// really saw the intervals.
+func requireZeroAlloc(t *testing.T, complete *rtmac.ConflictGraph, attach func(*testing.T, *rtmac.Simulation) func(*testing.T)) {
+	const (
+		warmup = 200 // intervals to fill every pool and scratch buffer
+		runs   = 100 // intervals measured by AllocsPerRun
+	)
 	graphs := map[string]*rtmac.ConflictGraph{
 		"complete":   complete,
 		"two-clique": hotPathConflicts(t),
 	}
 	for gName, graph := range graphs {
-		for pName, protocol := range hotPathProtocols() {
+		for pName, protocol := range allHotPathProtocols() {
 			t.Run(gName+"/"+pName, func(t *testing.T) {
 				s := newHotPathSimConflicts(t, protocol, graph)
+				var check func(*testing.T)
+				if attach != nil {
+					check = attach(t, s)
+				}
 				if err := s.Run(warmup); err != nil {
 					t.Fatal(err)
 				}
@@ -132,45 +153,47 @@ func TestHotPathZeroAllocConflictGraph(t *testing.T) {
 					}
 				})
 				if allocs != 0 {
-					t.Errorf("%s/%s: %.1f allocs per steady-state interval, want 0",
-						gName, pName, allocs)
+					t.Errorf("%s/%s: %.1f allocs per steady-state interval, want 0", gName, pName, allocs)
+				}
+				if check != nil {
+					check(t)
 				}
 			})
 		}
 	}
 }
 
-// TestHotPathAllocBoundWithTelemetry pins the documented allocation bound for
-// the telemetry-enabled path: with a JSONL event stream attached, the only
-// per-interval allocations are inside JSON encoding of the emitted events
-// (the instrumentation itself reuses scratch field maps — see
-// docs/PERFORMANCE.md). The bound is deliberately loose — it guards against
-// accidental per-event map or slice churn reappearing, not encoder detail.
-func TestHotPathAllocBoundWithTelemetry(t *testing.T) {
-	// Each control interval emits a bounded burst of events (interval,
-	// debt, swap, priority, plus one per transmission); JSON encoding costs
-	// a handful of allocations per event.
-	const maxAllocsPerInterval = 400
-	s := newHotPathSim(t, rtmac.DBDP())
-	stream := s.StreamEvents(io.Discard)
-	if err := s.Run(200); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := s.Run(1); err != nil {
+// TestHotPathZeroAllocStrictMonitor holds the strict invariant monitor — the
+// default of every figure sweep — and its flight recorder to the
+// zero-allocation contract: events are built in producer scratch, every
+// checker reads them in place, and the recorder reuses evicted intervals'
+// storage.
+func TestHotPathZeroAllocStrictMonitor(t *testing.T) {
+	requireZeroAlloc(t, nil, func(t *testing.T, s *rtmac.Simulation) func(*testing.T) {
+		mon, err := s.EnableMonitor(rtmac.MonitorConfig{Strict: true})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return func(t *testing.T) {
+			if mon.Count() != 0 {
+				t.Errorf("monitor reported %d violations, first: %v", mon.Count(), mon.Violations()[0])
+			}
+		}
 	})
-	if allocs > maxAllocsPerInterval {
-		t.Errorf("telemetry-enabled interval allocates %.0f, want <= %d", allocs, maxAllocsPerInterval)
-	}
-	if allocs == 0 {
-		t.Error("telemetry stream emitted no allocations — is the stream attached?")
-	}
-	if stream.Count() == 0 {
-		t.Error("no events were streamed")
-	}
-	if err := stream.Flush(); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestHotPathZeroAllocStream holds the JSONL event stream to the same
+// contract: the encoder appends each event into a reused line buffer.
+func TestHotPathZeroAllocStream(t *testing.T) {
+	requireZeroAlloc(t, nil, func(t *testing.T, s *rtmac.Simulation) func(*testing.T) {
+		stream := s.StreamEvents(io.Discard)
+		return func(t *testing.T) {
+			if stream.Count() == 0 {
+				t.Error("no events were streamed")
+			}
+			if err := stream.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

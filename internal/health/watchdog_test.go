@@ -7,18 +7,15 @@ import (
 	"rtmac/internal/telemetry"
 )
 
-// captureSink records emitted events, copying Fields (the watchdog reuses
-// its scratch map, per the Sink contract).
+// captureSink records emitted events, cloning Fields (the watchdog reuses
+// its scratch values, per the Sink contract).
 type captureSink struct {
 	events []telemetry.Event
 }
 
 func (s *captureSink) Emit(ev telemetry.Event) {
 	cp := ev
-	cp.Fields = make(map[string]float64, len(ev.Fields))
-	for k, v := range ev.Fields {
-		cp.Fields[k] = v
-	}
+	cp.Fields = ev.Fields.Clone()
 	s.events = append(s.events, cp)
 }
 
@@ -55,14 +52,14 @@ func TestWatchdogFiresUnderTinyBudget(t *testing.T) {
 		t.Errorf("event coords = (k=%d, t=%d, link=%d), want (7, 12345, -1)", ev.K, ev.At, ev.Link)
 	}
 	for _, f := range []string{"budget_ns", "elapsed_ns", "overrun_ns", "gc_pause_ns", "gc_pauses", "sched_p99_ns", "cause"} {
-		if _, ok := ev.Fields[f]; !ok {
+		if _, ok := ev.Fields.Lookup(f); !ok {
 			t.Errorf("stall event missing field %q", f)
 		}
 	}
-	if ev.Fields["elapsed_ns"] < float64(time.Millisecond) {
-		t.Errorf("elapsed %v ns too small for a 2 ms sleep", ev.Fields["elapsed_ns"])
+	if ev.Fields.Get("elapsed_ns") < float64(time.Millisecond) {
+		t.Errorf("elapsed %v ns too small for a 2 ms sleep", ev.Fields.Get("elapsed_ns"))
 	}
-	if c := ev.Fields["cause"]; c != CauseUser && c != CauseGC && c != CauseSched {
+	if c := ev.Fields.Get("cause"); c != CauseUser && c != CauseGC && c != CauseSched {
 		t.Errorf("cause = %v not a known code", c)
 	}
 }

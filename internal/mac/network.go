@@ -214,10 +214,10 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		if sink == nil {
 			return
 		}
-		nw.inst.backoffFields["slots"] = float64(counter)
+		nw.inst.backoffVals[telemetry.BackoffSlots] = float64(counter)
 		sink.Emit(telemetry.Event{
 			K: nw.ctx.K, At: nw.eng.Now(), Link: link, Kind: telemetry.EventBackoff,
-			Fields: nw.inst.backoffFields,
+			Fields: telemetry.MakeFields(telemetry.BackoffKeys, nw.inst.backoffVals[:]),
 		})
 	})
 	nw.arrivalRNG = eng.RNG("arrivals")
@@ -271,12 +271,13 @@ func (nw *Network) SetEventSink(s telemetry.Sink) {
 			if tx.Empty {
 				empty = 1
 			}
-			nw.inst.txFields["dur"] = float64(tx.End - tx.Start)
-			nw.inst.txFields["empty"] = empty
-			nw.inst.txFields["outcome"] = float64(outcome)
+			vals := nw.inst.txVals[:]
+			vals[telemetry.TxDur] = float64(tx.End - tx.Start)
+			vals[telemetry.TxEmpty] = empty
+			vals[telemetry.TxOutcome] = float64(outcome)
 			sink.Emit(telemetry.Event{
 				K: nw.ctx.K, At: tx.End, Link: tx.Link, Kind: telemetry.EventTx,
-				Fields: nw.inst.txFields,
+				Fields: telemetry.MakeFields(telemetry.TxKeys, vals),
 			})
 		})
 	}
@@ -411,10 +412,12 @@ func (nw *Network) emitConflicts() {
 	if sink == nil || g == nil || g.Complete() {
 		return
 	}
+	vals := nw.inst.conflictVals[:]
 	g.EachEdge(func(i, j int) {
+		vals[telemetry.ConflictPeer] = float64(j)
 		sink.Emit(telemetry.Event{
 			K: 0, At: 0, Link: i, Kind: telemetry.EventConflict,
-			Fields: map[string]float64{"peer": float64(j)},
+			Fields: telemetry.MakeFields(telemetry.ConflictKeys, vals),
 		})
 	})
 }

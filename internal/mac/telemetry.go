@@ -1,8 +1,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"rtmac/internal/perm"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
@@ -64,21 +62,22 @@ type instrumentation struct {
 	debtHist    *telemetry.Histogram
 	backoffHist *telemetry.Histogram
 
-	// prioKeys caches the "l<n>" field names of the priority-snapshot event
-	// (built once; one snapshot is emitted per interval when a sink is
-	// attached and the protocol carries priorities).
-	prioKeys []string
-
-	// Scratch Fields maps, one per emission site, reused across events. Each
-	// site writes a fixed key set, so steady-state emission only overwrites
-	// values — no map growth, no per-event allocation. Safe because the Sink
-	// contract forbids retaining the Fields map beyond the Emit call.
-	txFields       map[string]float64
-	backoffFields  map[string]float64
-	debtFields     map[string]float64
-	swapFields     map[string]float64
-	intervalFields map[string]float64
-	prioFields     map[string]float64
+	// Scratch payload values, one array per emission site in its kind's
+	// static schema order, reused across events: steady-state emission only
+	// overwrites values and allocates nothing. Safe because the Sink contract
+	// forbids retaining the values beyond the Emit call.
+	txVals       [3]float64
+	backoffVals  [1]float64
+	debtVals     [3]float64
+	swapVals     [4]float64
+	intervalVals [3]float64
+	conflictVals [1]float64
+	// prioKeys/prioSlot are the interned σ-snapshot schema for N links and
+	// each link's value position in it; prioVals is its value scratch (built
+	// on the first snapshot).
+	prioKeys *telemetry.Keys
+	prioSlot []int
+	prioVals []float64
 	// prioScratch is the reusable σ snapshot filled by priorityCopier
 	// protocols.
 	prioScratch perm.Permutation
@@ -98,12 +97,6 @@ func newInstrumentation(reg *telemetry.Registry) *instrumentation {
 		intervalsPerS: reg.Gauge("rtmac_wallclock_intervals_per_second", "simulated intervals per wall-clock second over the last Run call"),
 		debtHist:      reg.Histogram("rtmac_debt_positive", "positive delivery debt per link per interval, packets", debtHistogramBounds),
 		backoffHist:   reg.Histogram("rtmac_backoff_slots", "initial backoff counters handed to the contention coordinator", backoffHistogramBounds),
-
-		txFields:       make(map[string]float64, 3),
-		backoffFields:  make(map[string]float64, 1),
-		debtFields:     make(map[string]float64, 3),
-		swapFields:     make(map[string]float64, 4),
-		intervalFields: make(map[string]float64, 3),
 	}
 }
 
@@ -126,12 +119,12 @@ func (in *instrumentation) observeDebts(k int64, at sim.Time, debts []float64) {
 		}
 	}
 	if in.sink != nil {
-		in.debtFields["max"] = maxDebt
-		in.debtFields["mean"] = sum / float64(len(debts))
-		in.debtFields["positive"] = float64(positive)
+		in.debtVals[telemetry.DebtMax] = maxDebt
+		in.debtVals[telemetry.DebtMean] = sum / float64(len(debts))
+		in.debtVals[telemetry.DebtPositive] = float64(positive)
 		in.sink.Emit(telemetry.Event{
 			K: k, At: at, Link: -1, Kind: telemetry.EventDebt,
-			Fields: in.debtFields,
+			Fields: telemetry.MakeFields(telemetry.DebtKeys, in.debtVals[:]),
 		})
 	}
 }
@@ -146,13 +139,13 @@ func (in *instrumentation) observeSwap(k int64, at sim.Time, pos, down, up int, 
 		in.swapRejected.Inc()
 	}
 	if in.sink != nil {
-		in.swapFields["pos"] = float64(pos)
-		in.swapFields["down"] = float64(down)
-		in.swapFields["up"] = float64(up)
-		in.swapFields["accepted"] = acc
+		in.swapVals[telemetry.SwapPos] = float64(pos)
+		in.swapVals[telemetry.SwapDown] = float64(down)
+		in.swapVals[telemetry.SwapUp] = float64(up)
+		in.swapVals[telemetry.SwapAccepted] = acc
 		in.sink.Emit(telemetry.Event{
 			K: k, At: at, Link: -1, Kind: telemetry.EventSwap,
-			Fields: in.swapFields,
+			Fields: telemetry.MakeFields(telemetry.SwapKeys, in.swapVals[:]),
 		})
 	}
 }
@@ -178,12 +171,12 @@ func (in *instrumentation) endInterval(nw *Network, k int64, end sim.Time) {
 			served += nw.ctx.Served(n)
 			pending += nw.ctx.Pending(n)
 		}
-		in.intervalFields["arrivals"] = float64(arrivals)
-		in.intervalFields["served"] = float64(served)
-		in.intervalFields["expired"] = float64(pending)
+		in.intervalVals[telemetry.IntervalArrivals] = float64(arrivals)
+		in.intervalVals[telemetry.IntervalServed] = float64(served)
+		in.intervalVals[telemetry.IntervalExpired] = float64(pending)
 		in.sink.Emit(telemetry.Event{
 			K: k, At: end, Link: -1, Kind: telemetry.EventInterval,
-			Fields: in.intervalFields,
+			Fields: telemetry.MakeFields(telemetry.IntervalKeys, in.intervalVals[:]),
 		})
 		if nw.prio != nil {
 			prio := in.prioScratch
@@ -202,18 +195,15 @@ func (in *instrumentation) endInterval(nw *Network, k int64, end sim.Time) {
 // n's priority index. Emitted after the interval event, so a stream reader
 // sees the interval's swaps strictly before the permutation they produced.
 func (in *instrumentation) emitPriorities(prio perm.Permutation, k int64, at sim.Time) {
-	n := prio.Len()
 	if in.prioKeys == nil {
-		in.prioKeys = make([]string, n)
-		for i := range in.prioKeys {
-			in.prioKeys[i] = fmt.Sprintf("l%d", i)
-		}
-		in.prioFields = make(map[string]float64, n)
+		in.prioKeys, in.prioSlot = telemetry.PrioKeys(prio.Len())
+		in.prioVals = make([]float64, prio.Len())
 	}
 	for link, pr := range prio {
-		in.prioFields[in.prioKeys[link]] = float64(pr)
+		in.prioVals[in.prioSlot[link]] = float64(pr)
 	}
 	in.sink.Emit(telemetry.Event{
-		K: k, At: at, Link: -1, Kind: telemetry.EventPriority, Fields: in.prioFields,
+		K: k, At: at, Link: -1, Kind: telemetry.EventPriority,
+		Fields: telemetry.MakeFields(in.prioKeys, in.prioVals),
 	})
 }

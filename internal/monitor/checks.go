@@ -1,9 +1,10 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
@@ -19,12 +20,20 @@ import (
 // PermutationValid checks every "prio" snapshot for bijectivity and checks
 // that consecutive snapshots differ exactly by the interval's accepted swaps.
 type PermutationValid struct {
-	links   int
-	prev    []int // σ by link from the last prio event, nil before the first
-	prevK   int64
-	pending []swapRec // accepted swaps since the last prio event
-	scratch []int
-	seen    []bool
+	links int
+	// names holds each link's l<n> field name; slot[link] is that field's
+	// position in keys, the schema of the last snapshot seen (-1 when it
+	// lacks the field). It starts as the N-link prio schema and is rebuilt
+	// only when a snapshot arrives with a different key set.
+	names    []string
+	keys     *telemetry.Keys
+	slot     []int
+	prev     []int // σ by link from the last prio event, nil before the first
+	prevK    int64
+	pending  []swapRec // accepted swaps since the last prio event
+	scratch  []int
+	expected []int
+	seen     []bool
 }
 
 type swapRec struct {
@@ -35,11 +44,19 @@ type swapRec struct {
 
 // NewPermutationValid builds the checker for an N-link network.
 func NewPermutationValid(links int) *PermutationValid {
-	return &PermutationValid{
-		links:   links,
-		scratch: make([]int, links),
-		seen:    make([]bool, links+2),
+	c := &PermutationValid{
+		links:    links,
+		names:    make([]string, links),
+		scratch:  make([]int, links),
+		expected: make([]int, links),
+		seen:     make([]bool, links+2),
 	}
+	keys, slot := telemetry.PrioKeys(links)
+	c.keys, c.slot = keys, slices.Clone(slot)
+	for link := range c.names {
+		c.names[link] = telemetry.PrioKey(link)
+	}
+	return c
 }
 
 // Name implements Checker.
@@ -49,12 +66,12 @@ func (c *PermutationValid) Name() string { return "permutation_valid" }
 func (c *PermutationValid) Observe(ev telemetry.Event, report Reporter) {
 	switch ev.Kind {
 	case telemetry.EventSwap:
-		if ev.Fields["accepted"] == 1 {
+		if ev.Fields.Get("accepted") == 1 {
 			c.pending = append(c.pending, swapRec{
 				k:    ev.K,
-				pos:  int(ev.Fields["pos"]),
-				down: int(ev.Fields["down"]),
-				up:   int(ev.Fields["up"]),
+				pos:  int(ev.Fields.Get("pos")),
+				down: int(ev.Fields.Get("down")),
+				up:   int(ev.Fields.Get("up")),
 			})
 		}
 	case telemetry.EventPriority:
@@ -83,26 +100,31 @@ func (c *PermutationValid) observePrio(ev telemetry.Event, report Reporter) {
 // decode reads the l<n> fields into a priority vector and validates the
 // bijection; it reports at most one violation per snapshot.
 func (c *PermutationValid) decode(ev telemetry.Event, report Reporter) ([]int, bool) {
-	if len(ev.Fields) != c.links {
+	if n := ev.Fields.Len(); n != c.links {
 		report(Violation{
 			Check: c.Name(), K: ev.K, At: ev.At, Link: -1,
-			Msg:    fmt.Sprintf("priority snapshot names %d links, want %d", len(ev.Fields), c.links),
-			Fields: map[string]float64{"got": float64(len(ev.Fields)), "want": float64(c.links)},
+			Msg:    fmt.Sprintf("priority snapshot names %d links, want %d", n, c.links),
+			Fields: map[string]float64{"got": float64(n), "want": float64(c.links)},
 		})
 		return nil, false
 	}
-	for i := range c.seen {
-		c.seen[i] = false
+	if keys := ev.Fields.Keys(); keys != c.keys {
+		c.keys = keys
+		for link, name := range c.names {
+			c.slot[link] = keys.Index(name)
+		}
 	}
+	vals := ev.Fields.Values()
+	clear(c.seen)
 	for link := 0; link < c.links; link++ {
-		v, ok := ev.Fields[prioKey(link)]
-		if !ok {
+		if c.slot[link] < 0 {
 			report(Violation{
 				Check: c.Name(), K: ev.K, At: ev.At, Link: link,
 				Msg: fmt.Sprintf("priority snapshot is missing link %d", link),
 			})
 			return nil, false
 		}
+		v := vals[c.slot[link]]
 		pr := int(v)
 		if float64(pr) != v || pr < 1 || pr > c.links {
 			report(Violation{
@@ -129,7 +151,8 @@ func (c *PermutationValid) decode(ev telemetry.Event, report Reporter) ([]int, b
 // checkEvolution verifies σ(k) = σ(k-1) with the interval's accepted swaps
 // applied; any other difference means priorities changed outside Algorithm 2.
 func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report Reporter) {
-	expected := append([]int(nil), c.prev...)
+	expected := c.expected
+	copy(expected, c.prev)
 	for _, s := range c.pending {
 		if s.down < 0 || s.down >= c.links || s.up < 0 || s.up >= c.links {
 			report(Violation{
@@ -163,8 +186,6 @@ func (c *PermutationValid) checkEvolution(ev telemetry.Event, cur []int, report 
 	}
 }
 
-func prioKey(link int) string { return fmt.Sprintf("l%d", link) }
-
 // ---------------------------------------------------------------------------
 // single_adjacent_swap — Algorithm 2 draws one adjacent pair (C, C+1) per
 // interval, uniformly over {1..N-1}; Remark 6 allows m pairwise non-adjacent
@@ -178,6 +199,7 @@ type SingleAdjacentSwap struct {
 	links, pairs int
 	curK         int64
 	draws        []int
+	sorted       []int
 	haveK        bool
 
 	counts []int64
@@ -209,7 +231,7 @@ func (c *SingleAdjacentSwap) Observe(ev telemetry.Event, report Reporter) {
 			c.flush(ev, report)
 		}
 		c.haveK, c.curK = true, ev.K
-		pos := int(ev.Fields["pos"])
+		pos := int(ev.Fields.Get("pos"))
 		if pos < 1 || pos > c.links-1 {
 			report(Violation{
 				Check: c.Name(), K: ev.K, At: ev.At, Link: -1,
@@ -245,8 +267,9 @@ func (c *SingleAdjacentSwap) flush(ev telemetry.Event, report Reporter) {
 		})
 		return
 	}
-	sorted := append([]int(nil), c.draws...)
-	sort.Ints(sorted)
+	sorted := append(c.sorted[:0], c.draws...)
+	c.sorted = sorted
+	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i]-sorted[i-1] < 2 {
 			report(Violation{
@@ -295,13 +318,13 @@ func (c *CollisionFree) Observe(ev telemetry.Event, report Reporter) {
 	if ev.Kind != telemetry.EventTx {
 		return
 	}
-	if ev.Fields["outcome"] == outcomeCollided {
+	if ev.Fields.Get("outcome") == outcomeCollided {
 		report(Violation{
 			Check: c.Name(), K: ev.K, At: ev.At, Link: ev.Link,
 			Msg: fmt.Sprintf("link %d collided under a collision-free protocol", ev.Link),
 			Fields: map[string]float64{
-				"dur":   ev.Fields["dur"],
-				"empty": ev.Fields["empty"],
+				"dur":   ev.Fields.Get("dur"),
+				"empty": ev.Fields.Get("empty"),
 			},
 		})
 	}
@@ -364,7 +387,7 @@ func (c *DebtSane) Observe(ev telemetry.Event, report Reporter) {
 	switch ev.Kind {
 	case telemetry.EventDebt:
 		// The debt event precedes its interval event in the stream order.
-		c.pendSum = ev.Fields["mean"] * float64(c.links)
+		c.pendSum = ev.Fields.Get("mean") * float64(c.links)
 		c.pendK = ev.K
 		c.havePend = true
 	case telemetry.EventInterval:
@@ -377,7 +400,7 @@ func (c *DebtSane) Observe(ev telemetry.Event, report Reporter) {
 }
 
 func (c *DebtSane) settle(ev telemetry.Event, report Reporter) {
-	served := ev.Fields["served"]
+	served := ev.Fields.Get("served")
 	sum := c.pendSum
 	defer func() {
 		c.lastSum, c.lastK, c.haveLast = sum, ev.K, true
@@ -442,10 +465,14 @@ func (c *DebtSane) observeGrowth(sum float64) {
 type AirtimeConserved struct {
 	interval sim.Time
 	graph    *medium.Graph // nil = fully interfering
-	spans    map[int64][]txSpan
+	// spans holds the transmissions of intervals not yet finished, in stream
+	// order; cur is the scratch the finishing interval's spans move into.
+	spans []txSpan
+	cur   []txSpan
 }
 
 type txSpan struct {
+	k          int64
 	start, end sim.Time
 	link       int
 	collided   bool
@@ -455,7 +482,7 @@ type txSpan struct {
 // channel's conflict graph; nil (or a complete graph) means every pair of
 // links interferes.
 func NewAirtimeConserved(interval sim.Time, graph *medium.Graph) *AirtimeConserved {
-	return &AirtimeConserved{interval: interval, graph: graph, spans: make(map[int64][]txSpan)}
+	return &AirtimeConserved{interval: interval, graph: graph}
 }
 
 // conflicts reports whether concurrent spans on links a and b violate the
@@ -471,30 +498,37 @@ func (c *AirtimeConserved) Name() string { return "airtime_conserved" }
 func (c *AirtimeConserved) Observe(ev telemetry.Event, report Reporter) {
 	switch ev.Kind {
 	case telemetry.EventTx:
-		dur := sim.Time(ev.Fields["dur"])
-		c.spans[ev.K] = append(c.spans[ev.K], txSpan{
+		dur := sim.Time(ev.Fields.Get("dur"))
+		c.spans = append(c.spans, txSpan{
+			k:        ev.K,
 			start:    ev.At - dur,
 			end:      ev.At,
 			link:     ev.Link,
-			collided: ev.Fields["outcome"] == outcomeCollided,
+			collided: ev.Fields.Get("outcome") == outcomeCollided,
 		})
 	case telemetry.EventInterval:
-		c.finish(ev, report)
-		// Bound memory even when interval events are missing for some K
-		// (sampled or truncated streams): everything at or before the
-		// finished interval is settled.
-		for k := range c.spans {
-			if k <= ev.K {
-				delete(c.spans, k)
+		// Move the finished interval's spans out, and bound memory even when
+		// interval events are missing for some K (sampled or truncated
+		// streams): everything at or before the finished interval is
+		// settled, while spans of later intervals (out-of-order streams)
+		// stay pending.
+		cur, keep := c.cur[:0], c.spans[:0]
+		for _, s := range c.spans {
+			switch {
+			case s.k == ev.K:
+				cur = append(cur, s)
+			case s.k > ev.K:
+				keep = append(keep, s)
 			}
 		}
+		c.spans, c.cur = keep, cur
+		c.finish(ev, cur, report)
 	}
 }
 
 // finish checks one completed interval's spans; it reports at most one
 // boundary violation and one overlap violation per interval.
-func (c *AirtimeConserved) finish(ev telemetry.Event, report Reporter) {
-	spans := c.spans[ev.K]
+func (c *AirtimeConserved) finish(ev telemetry.Event, spans []txSpan, report Reporter) {
 	if len(spans) == 0 {
 		return
 	}
@@ -511,11 +545,11 @@ func (c *AirtimeConserved) finish(ev telemetry.Event, report Reporter) {
 			break
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].start != spans[j].start {
-			return spans[i].start < spans[j].start
+	slices.SortStableFunc(spans, func(a, b txSpan) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return spans[i].link < spans[j].link
+		return cmp.Compare(a.link, b.link)
 	})
 	// Pairwise overlap scan: with a conflict graph, non-conflicting spans
 	// legitimately overlap (spatial reuse), so a single furthest-reaching

@@ -42,7 +42,7 @@ func (v Violation) Event() telemetry.Event {
 	return telemetry.Event{
 		K: v.K, At: v.At, Link: v.Link,
 		Kind: telemetry.EventViolation, Check: v.Check, Msg: v.Msg,
-		Fields: v.Fields,
+		Fields: telemetry.FieldsOf(v.Fields),
 	}
 }
 
@@ -104,7 +104,10 @@ const maxRetained = 256
 // Monitor fans the event stream into its checkers. It implements
 // telemetry.Sink, so it attaches anywhere a JSONL stream does.
 type Monitor struct {
-	checkers   []Checker
+	checkers []Checker
+	// reportFn is m.report as a method value, built once: passing m.report
+	// directly would allocate a fresh closure per event per checker.
+	reportFn   Reporter
 	strict     bool
 	output     telemetry.Sink
 	violations []Violation
@@ -136,6 +139,7 @@ func New(cfg Config) (*Monitor, error) {
 		output:   cfg.Output,
 		perCheck: make(map[string]*telemetry.Counter),
 	}
+	m.reportFn = m.report
 	if cfg.Checkers != nil {
 		m.checkers = cfg.Checkers
 	} else {
@@ -169,7 +173,7 @@ func (m *Monitor) Emit(ev telemetry.Event) {
 		return
 	}
 	for _, c := range m.checkers {
-		c.Observe(ev, m.report)
+		c.Observe(ev, m.reportFn)
 	}
 }
 
@@ -246,8 +250,8 @@ func InferConfig(events []telemetry.Event) (Config, error) {
 		switch ev.Kind {
 		case telemetry.EventSwap, telemetry.EventPriority:
 			dpFamily = true
-			if ev.Kind == telemetry.EventPriority && len(ev.Fields) > links {
-				links = len(ev.Fields)
+			if ev.Kind == telemetry.EventPriority && ev.Fields.Len() > links {
+				links = ev.Fields.Len()
 			}
 		case telemetry.EventInterval:
 			if interval == 0 && ev.At > 0 {
@@ -256,7 +260,7 @@ func InferConfig(events []telemetry.Event) (Config, error) {
 				interval = ev.At / sim.Time(ev.K+1)
 			}
 		case telemetry.EventConflict:
-			peer := int(ev.Fields["peer"])
+			peer := int(ev.Fields.Get("peer"))
 			if peer+1 > links {
 				links = peer + 1
 			}

@@ -35,7 +35,7 @@ func prioEvent(k int64, prio ...int) telemetry.Event {
 	}
 	return telemetry.Event{
 		K: k, At: sim.Time(k+1) * testInterval, Link: -1,
-		Kind: telemetry.EventPriority, Fields: fields,
+		Kind: telemetry.EventPriority, Fields: telemetry.FieldsOf(fields),
 	}
 }
 
@@ -43,7 +43,7 @@ func intervalEvent(k int64, served float64) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: sim.Time(k+1) * testInterval, Link: -1,
 		Kind:   telemetry.EventInterval,
-		Fields: map[string]float64{"arrivals": 4, "served": served, "expired": 0},
+		Fields: telemetry.FieldsOf(map[string]float64{"arrivals": 4, "served": served, "expired": 0}),
 	}
 }
 
@@ -51,7 +51,7 @@ func debtEvent(k int64, sum float64) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: sim.Time(k+1) * testInterval, Link: -1,
 		Kind:   telemetry.EventDebt,
-		Fields: map[string]float64{"max": sum, "mean": sum / testLinks, "positive": 1},
+		Fields: telemetry.FieldsOf(map[string]float64{"max": sum, "mean": sum / testLinks, "positive": 1}),
 	}
 }
 
@@ -63,16 +63,16 @@ func swapEvent(k int64, pos, down, up int, accepted bool) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: sim.Time(k)*testInterval + 10, Link: -1,
 		Kind: telemetry.EventSwap,
-		Fields: map[string]float64{
+		Fields: telemetry.FieldsOf(map[string]float64{
 			"pos": float64(pos), "down": float64(down), "up": float64(up), "accepted": acc,
-		},
+		}),
 	}
 }
 
 func txEvent(k int64, link int, end, dur sim.Time, outcome int) telemetry.Event {
 	return telemetry.Event{
 		K: k, At: end, Link: link, Kind: telemetry.EventTx,
-		Fields: map[string]float64{"dur": float64(dur), "empty": 0, "outcome": float64(outcome)},
+		Fields: telemetry.FieldsOf(map[string]float64{"dur": float64(dur), "empty": 0, "outcome": float64(outcome)}),
 	}
 }
 
@@ -154,6 +154,33 @@ func TestPriorityOutOfRange(t *testing.T) {
 	if v.Link != 3 {
 		t.Errorf("violation names link %d, want 3", v.Link)
 	}
+}
+
+// TestPrioritySnapshotWithForeignKeys feeds snapshots whose key sets are not
+// the N-link prio schema: the checker must report what it always reported,
+// scanning links in order (a bad value before the missing link wins).
+func TestPrioritySnapshotWithForeignKeys(t *testing.T) {
+	foreign := func(fields map[string]float64) telemetry.Event {
+		return telemetry.Event{K: 0, At: testInterval, Link: -1, Kind: telemetry.EventPriority,
+			Fields: telemetry.FieldsOf(fields)}
+	}
+	m := runMonitor(t, testConfig(), []telemetry.Event{
+		foreign(map[string]float64{"l0": 1, "l1": 2, "l3": 3, "x": 4}),
+	})
+	if v := expectOne(t, m, "permutation_valid", "missing link 2"); v.Link != 2 {
+		t.Errorf("violation names link %d, want 2", v.Link)
+	}
+	m = runMonitor(t, testConfig(), []telemetry.Event{
+		foreign(map[string]float64{"l0": 9, "l1": 2, "l3": 3, "x": 4}),
+	})
+	expectOne(t, m, "permutation_valid", "link 0 holds priority 9 outside")
+	// A well-formed snapshot after a foreign one decodes again.
+	m = runMonitor(t, testConfig(), []telemetry.Event{
+		foreign(map[string]float64{"l0": 1, "l1": 2, "l3": 3, "x": 4}),
+		prioEvent(1, 1, 2, 3, 4),
+		prioEvent(2, 1, 2, 3, 4),
+	})
+	expectOne(t, m, "permutation_valid", "missing link 2")
 }
 
 func TestPriorityTeleportWithoutSwap(t *testing.T) {
@@ -287,6 +314,44 @@ func TestAirtimeContainedOverlap(t *testing.T) {
 	}
 	m := runMonitor(t, cfg, events)
 	expectOne(t, m, "airtime_conserved", "overlap")
+}
+
+// TestAirtimeOutOfOrderIntervals: transmissions of a later interval that
+// arrive before an earlier interval closes stay pending until their own
+// interval event, and are checked there.
+func TestAirtimeOutOfOrderIntervals(t *testing.T) {
+	cfg := testConfig()
+	cfg.CollisionFree = false
+	events := []telemetry.Event{
+		txEvent(0, 0, 300, 200, 0),
+		txEvent(1, 0, 1300, 200, 0), // [1100, 1300]
+		txEvent(1, 1, 1400, 200, 0), // [1200, 1400] overlaps, neither collided
+		intervalEvent(0, 1),
+		txEvent(0, 1, 600, 200, 0), // late for interval 0, which already closed
+		intervalEvent(1, 2),
+	}
+	m := runMonitor(t, cfg, events)
+	if v := expectOne(t, m, "airtime_conserved", "overlap"); v.K != 1 {
+		t.Errorf("violation at interval %d, want 1", v.K)
+	}
+}
+
+// TestAirtimeMissingIntervalEvent: spans of an interval whose interval event
+// never arrives are settled, unchecked, by the next interval event past it.
+func TestAirtimeMissingIntervalEvent(t *testing.T) {
+	cfg := testConfig()
+	cfg.CollisionFree = false
+	events := []telemetry.Event{
+		txEvent(0, 0, 300, 200, 0),
+		txEvent(0, 1, 400, 200, 0), // overlaps, but interval 0 never closes
+		txEvent(1, 0, 1300, 200, 0),
+		intervalEvent(1, 1),
+		intervalEvent(0, 2), // too late: interval 0's spans were settled
+	}
+	m := runMonitor(t, cfg, events)
+	if n := m.Count(); n != 0 {
+		t.Fatalf("settled spans were checked: %v", m.Violations())
+	}
 }
 
 func TestCollidedOverlapIsClean(t *testing.T) {

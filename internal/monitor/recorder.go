@@ -1,11 +1,9 @@
 package monitor
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"rtmac/internal/telemetry"
 )
@@ -16,15 +14,28 @@ import (
 // dumps exactly the window of history that explains what happened.
 type FlightRecorder struct {
 	capacity int
-	buckets  map[int64][]telemetry.Event
-	order    []int64
-	dropped  int64
-	total    int64
+	// ring holds the retained intervals in order of first appearance, the
+	// oldest at head once the ring is full. An evicted interval's bucket is
+	// reused for the next new one, so steady-state recording allocates
+	// nothing.
+	ring    []recBucket
+	head    int
+	last    int // ring index of the bucket the previous event went to
+	dropped int64
+	total   int64
 	// pinned holds run-scoped events exempt from windowed eviction: the
 	// conflict-graph edges emitted once at k=0. A dump of intervals
 	// [k, k+64] without them would audit a spatial-reuse run against the
 	// complete graph, so they are retained forever and written first.
 	pinned []telemetry.Event
+}
+
+// recBucket is one retained interval: its events, whose field values are
+// copied into vals.
+type recBucket struct {
+	k      int64
+	events []telemetry.Event
+	vals   []float64
 }
 
 // NewFlightRecorder returns a recorder keeping the most recent `intervals`
@@ -33,40 +44,50 @@ func NewFlightRecorder(intervals int) (*FlightRecorder, error) {
 	if intervals <= 0 {
 		return nil, fmt.Errorf("monitor: flight recorder capacity %d must be positive", intervals)
 	}
-	return &FlightRecorder{
-		capacity: intervals,
-		buckets:  make(map[int64][]telemetry.Event, intervals+1),
-	}, nil
+	return &FlightRecorder{capacity: intervals, last: -1}, nil
 }
 
 // Emit implements telemetry.Sink. Events are grouped by interval index; when
 // a new interval appears beyond the capacity, the oldest interval's events
-// are dropped. Field maps are copied (the Sink contract does not grant
+// are dropped. Field values are copied (the Sink contract does not grant
 // ownership).
 func (r *FlightRecorder) Emit(ev telemetry.Event) {
-	if ev.Fields != nil {
-		f := make(map[string]float64, len(ev.Fields))
-		for k, v := range ev.Fields {
-			f[k] = v
-		}
-		ev.Fields = f
-	}
+	r.total++
 	if ev.Kind == telemetry.EventConflict {
+		ev.Fields = ev.Fields.Clone()
 		r.pinned = append(r.pinned, ev)
-		r.total++
 		return
 	}
-	if _, ok := r.buckets[ev.K]; !ok {
-		r.order = append(r.order, ev.K)
-		if len(r.order) > r.capacity {
-			oldest := r.order[0]
-			r.order = r.order[1:]
-			r.dropped += int64(len(r.buckets[oldest]))
-			delete(r.buckets, oldest)
+	b := r.bucket(ev.K)
+	start := len(b.vals)
+	b.vals = append(b.vals, ev.Fields.Values()...)
+	ev.Fields = telemetry.MakeFields(ev.Fields.Keys(), b.vals[start:len(b.vals):len(b.vals)])
+	b.events = append(b.events, ev)
+}
+
+// bucket returns interval k's bucket, starting one — and evicting the oldest
+// interval when the ring is full — if k is not retained.
+func (r *FlightRecorder) bucket(k int64) *recBucket {
+	if r.last >= 0 && r.ring[r.last].k == k {
+		return &r.ring[r.last]
+	}
+	for i := range r.ring {
+		if r.ring[i].k == k {
+			r.last = i
+			return &r.ring[i]
 		}
 	}
-	r.buckets[ev.K] = append(r.buckets[ev.K], ev)
-	r.total++
+	if len(r.ring) < r.capacity {
+		r.ring = append(r.ring, recBucket{k: k})
+		r.last = len(r.ring) - 1
+		return &r.ring[r.last]
+	}
+	b := &r.ring[r.head]
+	r.dropped += int64(len(b.events))
+	b.k, b.events, b.vals = k, b.events[:0], b.vals[:0]
+	r.last = r.head
+	r.head = (r.head + 1) % r.capacity
+	return b
 }
 
 // Total returns how many events were observed, including dropped ones.
@@ -76,17 +97,23 @@ func (r *FlightRecorder) Total() int64 { return r.total }
 func (r *FlightRecorder) Dropped() int64 { return r.dropped }
 
 // Intervals returns how many intervals are currently retained.
-func (r *FlightRecorder) Intervals() int { return len(r.order) }
+func (r *FlightRecorder) Intervals() int { return len(r.ring) }
 
 // Events returns the retained events: pinned run-scoped events (the conflict
 // topology) first, then the windowed intervals oldest first, in emission
-// order within each interval. The slice is a copy.
+// order within each interval. The slice and the events' values are copies.
 func (r *FlightRecorder) Events() []telemetry.Event {
-	ks := append([]int64(nil), r.order...)
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	byK := make([]*recBucket, len(r.ring))
+	for i := range r.ring {
+		byK[i] = &r.ring[i]
+	}
+	sort.Slice(byK, func(i, j int) bool { return byK[i].k < byK[j].k })
 	out := append([]telemetry.Event(nil), r.pinned...)
-	for _, k := range ks {
-		out = append(out, r.buckets[k]...)
+	for _, b := range byK {
+		for _, ev := range b.events {
+			ev.Fields = ev.Fields.Clone()
+			out = append(out, ev)
+		}
 	}
 	return out
 }
@@ -94,9 +121,13 @@ func (r *FlightRecorder) Events() []telemetry.Event {
 // WriteJSONL dumps the retained window as JSON Lines — the same format the
 // live event stream uses, so `rtmacsim -checkevents` audits a dump directly.
 func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
+	var line []byte
 	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
+		var err error
+		if line, err = ev.AppendJSON(line[:0]); err == nil {
+			_, err = w.Write(append(line, '\n'))
+		}
+		if err != nil {
 			return fmt.Errorf("monitor: flight recorder dump: %w", err)
 		}
 	}
@@ -138,45 +169,39 @@ func formatEvent(ev telemetry.Event) string {
 	switch ev.Kind {
 	case telemetry.EventTx:
 		what := "data"
-		if ev.Fields["empty"] == 1 {
+		if ev.Fields.Get("empty") == 1 {
 			what = "empty"
 		}
 		outcome := [...]string{"delivered", "lost", "collided"}
 		oc := "?"
-		if o := int(ev.Fields["outcome"]); o >= 0 && o < len(outcome) {
+		if o := int(ev.Fields.Get("outcome")); o >= 0 && o < len(outcome) {
 			oc = outcome[o]
 		}
 		return fmt.Sprintf("t=%-8v link=%-3d tx %s %vµs %s",
-			ev.At, ev.Link, what, ev.Fields["dur"], oc)
+			ev.At, ev.Link, what, ev.Fields.Get("dur"), oc)
 	case telemetry.EventBackoff:
-		return fmt.Sprintf("t=%-8v link=%-3d backoff %v slots", ev.At, ev.Link, ev.Fields["slots"])
+		return fmt.Sprintf("t=%-8v link=%-3d backoff %v slots", ev.At, ev.Link, ev.Fields.Get("slots"))
 	case telemetry.EventSwap:
 		verdict := "rejected"
-		if ev.Fields["accepted"] == 1 {
+		if ev.Fields.Get("accepted") == 1 {
 			verdict = "accepted"
 		}
 		return fmt.Sprintf("t=%-8v swap pos=%v links %v<->%v %s",
-			ev.At, ev.Fields["pos"], ev.Fields["down"], ev.Fields["up"], verdict)
+			ev.At, ev.Fields.Get("pos"), ev.Fields.Get("down"), ev.Fields.Get("up"), verdict)
 	case telemetry.EventDebt:
 		return fmt.Sprintf("t=%-8v debt max=%v mean=%v positive=%v",
-			ev.At, ev.Fields["max"], ev.Fields["mean"], ev.Fields["positive"])
+			ev.At, ev.Fields.Get("max"), ev.Fields.Get("mean"), ev.Fields.Get("positive"))
 	case telemetry.EventInterval:
 		return fmt.Sprintf("t=%-8v interval arrivals=%v served=%v expired=%v",
-			ev.At, ev.Fields["arrivals"], ev.Fields["served"], ev.Fields["expired"])
+			ev.At, ev.Fields.Get("arrivals"), ev.Fields.Get("served"), ev.Fields.Get("expired"))
 	case telemetry.EventViolation:
 		return fmt.Sprintf("t=%-8v VIOLATION [%s] %s", ev.At, ev.Check, ev.Msg)
 	default:
-		keys := make([]string, 0, len(ev.Fields))
-		for k := range ev.Fields {
-			keys = append(keys, k)
+		line := fmt.Sprintf("t=%-8v link=%-3d %s", ev.At, ev.Link, ev.Kind)
+		if ev.Fields.Len() > 0 {
+			line += " " + ev.Fields.String()
 		}
-		sort.Strings(keys)
-		var b strings.Builder
-		fmt.Fprintf(&b, "t=%-8v link=%-3d %s", ev.At, ev.Link, ev.Kind)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%v", k, ev.Fields[k])
-		}
-		return b.String()
+		return line
 	}
 }
 

@@ -42,9 +42,9 @@ func TestFlightRecorderCopiesFields(t *testing.T) {
 	}
 	ev := txEvent(0, 0, 300, 200, 0)
 	r.Emit(ev)
-	ev.Fields["dur"] = -1 // caller reuses the map; the recorder must not see it
-	if got := r.Events()[0].Fields["dur"]; got != 200 {
-		t.Errorf("recorder shares the caller's field map: dur = %v", got)
+	ev.Fields.Values()[telemetry.TxDur] = -1 // caller reuses the values; the recorder must not see it
+	if got := r.Events()[0].Fields.Get("dur"); got != 200 {
+		t.Errorf("recorder shares the caller's field values: dur = %v", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +12,7 @@ import (
 // can. With zero subscribers Emit is a single atomic load and returns without
 // allocating, which keeps the simulator's interval hot path free when nobody
 // is watching; events are serialized to JSON only when at least one
-// subscriber exists, so the broker never retains the caller's Fields map.
+// subscriber exists, so the broker never retains the caller's Fields values.
 //
 // Slow subscribers lose events rather than stalling the simulation: each
 // subscription has a bounded buffer and Emit drops on a full channel.
@@ -33,7 +32,7 @@ func (b *Broker) Emit(ev telemetry.Event) {
 	if b.nsubs.Load() == 0 {
 		return
 	}
-	data, err := json.Marshal(ev)
+	data, err := ev.AppendJSON(nil)
 	if err != nil {
 		return
 	}

@@ -2,10 +2,8 @@ package rundiff
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"rtmac/internal/telemetry"
 )
@@ -158,33 +156,36 @@ func DiffEvents(a, b io.Reader, opts Options) (*EventDiff, error) {
 // decodeEvent parses one event line, returning nil on malformed input — at a
 // divergence the raw line still tells the story.
 func decodeEvent(line []byte) *telemetry.Event {
-	var ev telemetry.Event
-	if err := json.Unmarshal(line, &ev); err != nil {
+	ev, err := telemetry.DecodeEvent(line)
+	if err != nil {
 		return nil
 	}
 	return &ev
 }
 
-// fieldDeltas computes the sorted union of differing payload fields.
-func fieldDeltas(a, b map[string]float64) []FieldDelta {
-	names := make([]string, 0, len(a)+len(b))
-	for k := range a {
-		names = append(names, k)
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
+// fieldDeltas computes the sorted union of differing payload fields: both
+// payloads are sorted by name, so one merge pass visits the union in order.
+func fieldDeltas(a, b telemetry.Fields) []FieldDelta {
 	var out []FieldDelta
-	for _, name := range names {
-		va, inA := a[name]
-		vb, inB := b[name]
-		if inA && inB && va == vb {
-			continue
+	i, j := 0, 0
+	for i < a.Len() || j < b.Len() {
+		var d FieldDelta
+		switch {
+		case j == b.Len() || (i < a.Len() && a.Name(i) < b.Name(j)):
+			d = FieldDelta{Name: a.Name(i), A: a.Value(i), InA: true}
+			i++
+		case i == a.Len() || b.Name(j) < a.Name(i):
+			d = FieldDelta{Name: b.Name(j), B: b.Value(j), InB: true}
+			j++
+		default:
+			d = FieldDelta{Name: a.Name(i), A: a.Value(i), B: b.Value(j), InA: true, InB: true}
+			i++
+			j++
+			if d.A == d.B {
+				continue
+			}
 		}
-		out = append(out, FieldDelta{Name: name, A: va, B: vb, InA: inA, InB: inB})
+		out = append(out, d)
 	}
 	return out
 }

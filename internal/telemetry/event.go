@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -13,25 +12,28 @@ import (
 // what the metric registry cannot express: individual occurrences with their
 // simulated timestamp and context, suitable for timeline reconstruction and
 // pathwise analysis (per-interval debt trajectories, swap dynamics, packet
-// outcomes).
+// outcomes). Its JSON form (AppendJSON) is one object per event with keys k,
+// t, link, kind, f (the payload, omitted when empty), check and msg (omitted
+// when empty).
 type Event struct {
 	// K is the interval index the event belongs to.
-	K int64 `json:"k"`
+	K int64
 	// At is the simulated time of the event in microseconds.
-	At sim.Time `json:"t"`
+	At sim.Time
 	// Link is the link the event concerns, or -1 for network-wide events.
-	Link int `json:"link"`
+	Link int
 	// Kind names the event type (e.g. "tx", "interval", "swap", "debt").
-	Kind string `json:"kind"`
-	// Fields carries the kind-specific numeric payload. encoding/json
-	// serializes map keys in sorted order, which keeps the JSONL stream
+	// Unknown kinds round-trip unchanged.
+	Kind string
+	// Fields carries the kind-specific numeric payload, keyed by an interned
+	// schema whose names are sorted, which keeps the JSONL stream
 	// byte-for-byte deterministic for a fixed seed.
-	Fields map[string]float64 `json:"f,omitempty"`
+	Fields Fields
 	// Check names the invariant checker that produced a "violation" event;
 	// empty for every other kind.
-	Check string `json:"check,omitempty"`
+	Check string
 	// Msg is a human-readable detail line, only set on "violation" events.
-	Msg string `json:"msg,omitempty"`
+	Msg string
 }
 
 // Canonical event kinds emitted by the simulator's instrumentation points.
@@ -87,8 +89,9 @@ const (
 	EventAlert = "alert"
 )
 
-// Sink consumes events. Implementations must not retain the Fields map
-// beyond the call unless they own it.
+// Sink consumes events. An event's Fields values usually alias the
+// producer's scratch, reused for the next event: implementations must not
+// retain the values slice beyond the call — Clone to keep.
 type Sink interface {
 	Emit(ev Event)
 }
@@ -136,7 +139,7 @@ func Only(kinds ...string) JSONLOption {
 // dropped, so a failed disk write cannot silently truncate mid-record.
 type JSONL struct {
 	w      *bufio.Writer
-	enc    *json.Encoder
+	line   []byte
 	sample map[string]int
 	seen   map[string]int
 	only   map[string]bool
@@ -152,7 +155,6 @@ func NewJSONL(w io.Writer, opts ...JSONLOption) *JSONL {
 	bw := bufio.NewWriter(w)
 	j := &JSONL{
 		w:      bw,
-		enc:    json.NewEncoder(bw),
 		sample: make(map[string]int),
 		seen:   make(map[string]int),
 	}
@@ -181,7 +183,13 @@ func (j *JSONL) Emit(ev Event) {
 			return
 		}
 	}
-	if err := j.enc.Encode(ev); err != nil {
+	line, err := ev.AppendJSON(j.line[:0])
+	if err != nil {
+		j.err = fmt.Errorf("telemetry: event stream: %w", err)
+		return
+	}
+	j.line = append(line, '\n')
+	if _, err := j.w.Write(j.line); err != nil {
 		j.err = fmt.Errorf("telemetry: event stream: %w", err)
 		return
 	}
@@ -201,37 +209,4 @@ func (j *JSONL) Flush() error {
 		j.err = fmt.Errorf("telemetry: event stream: %w", err)
 	}
 	return j.err
-}
-
-// DecodeJSONL parses a JSONL event stream back into events — the read side
-// of the round trip, used by tests and analysis tooling. A leading schema
-// header line (written by NewJSONL) is validated and skipped; headerless
-// legacy streams decode as before. A header carrying a different schema or
-// an unsupported version is an error, not a zero-valued event.
-func DecodeJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	first := true
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("telemetry: decode event %d: %w", len(out), err)
-		}
-		if first {
-			first = false
-			if h, ok := ParseHeader(raw); ok {
-				if err := h.Check(EventStreamSchema, EventStreamVersion); err != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return out, fmt.Errorf("telemetry: decode event %d: %w", len(out), err)
-		}
-		out = append(out, ev)
-	}
 }

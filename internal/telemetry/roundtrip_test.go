@@ -13,27 +13,27 @@ import (
 func kindExemplars() []Event {
 	return []Event{
 		{K: 3, At: 6120, Link: 2, Kind: EventTx,
-			Fields: map[string]float64{"dur": 120, "empty": 0, "outcome": 1}},
+			Fields: FieldsOf(map[string]float64{"dur": 120, "empty": 0, "outcome": 1})},
 		{K: 3, At: 8000, Link: -1, Kind: EventInterval,
-			Fields: map[string]float64{"arrivals": 6, "served": 4, "pending": 9}},
+			Fields: FieldsOf(map[string]float64{"arrivals": 6, "served": 4, "pending": 9})},
 		{K: 3, At: 8000, Link: -1, Kind: EventSwap,
-			Fields: map[string]float64{"pos": 2, "down": 5, "up": 1, "accepted": 1}},
+			Fields: FieldsOf(map[string]float64{"pos": 2, "down": 5, "up": 1, "accepted": 1})},
 		{K: 3, At: 8000, Link: -1, Kind: EventDebt,
-			Fields: map[string]float64{"max": 2.5, "mean": 0.75, "positive": 4}},
+			Fields: FieldsOf(map[string]float64{"max": 2.5, "mean": 0.75, "positive": 4})},
 		{K: 4, At: 8000, Link: 7, Kind: EventBackoff,
-			Fields: map[string]float64{"slots": 3}},
+			Fields: FieldsOf(map[string]float64{"slots": 3})},
 		{K: 4, At: 10000, Link: -1, Kind: EventPriority,
-			Fields: map[string]float64{"l0": 2, "l1": 1, "l2": 3}},
+			Fields: FieldsOf(map[string]float64{"l0": 2, "l1": 1, "l2": 3})},
 		{K: 4, At: 10000, Link: 0, Kind: EventViolation,
 			Check: "debt-nonnegative", Msg: "link 0 debt -0.25 after update",
-			Fields: map[string]float64{"debt": -0.25}},
+			Fields: FieldsOf(map[string]float64{"debt": -0.25})},
 		{K: 5, At: 12000, Link: -1, Kind: EventStall,
-			Fields: map[string]float64{"budget_ns": 1e6, "elapsed_ns": 3e6,
-				"overrun_ns": 2e6, "gc_pauses": 1, "cause": 1}},
+			Fields: FieldsOf(map[string]float64{"budget_ns": 1e6, "elapsed_ns": 3e6,
+				"overrun_ns": 2e6, "gc_pauses": 1, "cause": 1})},
 		{K: 1200, At: 9600000, Link: 3, Kind: EventAlert,
 			Check: "burn_rate", Msg: "link 3 burning 2.1x deadline-miss budget",
-			Fields: map[string]float64{"severity": 2, "state": 1, "value": 2.1,
-				"threshold": 1, "window": 1000, "scope": 0}},
+			Fields: FieldsOf(map[string]float64{"severity": 2, "state": 1, "value": 2.1,
+				"threshold": 1, "window": 1000, "scope": 0})},
 	}
 }
 

@@ -95,10 +95,10 @@ func (r *Recorder) Emit(ev telemetry.Event) {
 	}
 	r.add(Record{
 		Link:    ev.Link,
-		Start:   ev.At - sim.Time(ev.Fields["dur"]),
+		Start:   ev.At - sim.Time(ev.Fields.Get("dur")),
 		End:     ev.At,
-		Empty:   ev.Fields["empty"] != 0,
-		Outcome: medium.Outcome(ev.Fields["outcome"]),
+		Empty:   ev.Fields.Get("empty") != 0,
+		Outcome: medium.Outcome(ev.Fields.Get("outcome")),
 	})
 }
 

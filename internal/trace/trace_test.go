@@ -253,7 +253,7 @@ func TestRecorderAsTelemetrySink(t *testing.T) {
 	}
 	r.Emit(telemetry.Event{
 		K: 0, At: 220, Link: 2, Kind: telemetry.EventTx,
-		Fields: map[string]float64{"dur": 120, "empty": 0, "outcome": float64(medium.Lost)},
+		Fields: telemetry.FieldsOf(map[string]float64{"dur": 120, "empty": 0, "outcome": float64(medium.Lost)}),
 	})
 	r.Emit(telemetry.Event{K: 0, At: 2000, Link: -1, Kind: telemetry.EventInterval}) // ignored
 	recs := r.Snapshot()

@@ -25,33 +25,19 @@ func WriteAlertsJSONL(w io.Writer, alerts []Alert) error {
 
 // ReplayJSONL streams a recorded event stream through the engine, one event
 // at a time — unlike telemetry.DecodeJSONL it never materializes the stream
-// in memory, so multi-gigabyte soak recordings replay in constant space. A
-// leading schema header (written by telemetry.NewJSONL) is validated and
-// skipped; headerless legacy streams replay as-is. Returns the number of
-// events consumed.
+// in memory, so multi-gigabyte soak recordings replay in constant space.
+// Header handling is telemetry.Decoder's. Returns the number of events
+// consumed.
 func ReplayJSONL(r io.Reader, e *Engine) (int64, error) {
-	dec := json.NewDecoder(r)
+	dec := telemetry.NewDecoder(r)
 	var n int64
-	first := true
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
+		ev, err := dec.Next()
+		if err == io.EOF {
 			return n, nil
-		} else if err != nil {
-			return n, fmt.Errorf("watch: decode event %d: %w", n, err)
 		}
-		if first {
-			first = false
-			if h, ok := telemetry.ParseHeader(raw); ok {
-				if err := h.Check(telemetry.EventStreamSchema, telemetry.EventStreamVersion); err != nil {
-					return n, err
-				}
-				continue
-			}
-		}
-		var ev telemetry.Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return n, fmt.Errorf("watch: decode event %d: %w", n, err)
+		if err != nil {
+			return n, err
 		}
 		e.Emit(ev)
 		n++

@@ -65,7 +65,7 @@ const (
 )
 
 // Numeric codes carried in the alert event's Fields, so a recorded stream
-// round-trips the alert without string payloads (Fields is map[string]float64).
+// round-trips the alert without string payloads (Fields values are numbers).
 const (
 	severityCodeWarning  = 1
 	severityCodeCritical = 2
@@ -103,10 +103,11 @@ type Alert struct {
 	Msg string `json:"msg"`
 }
 
-// Event renders the alert as a telemetry event using the caller's Fields map
-// (the engine reuses one scratch map per emission; offline tools may pass a
-// fresh one).
-func (a Alert) Event(fields map[string]float64) telemetry.Event {
+// Event renders the alert as a telemetry event whose payload values live in
+// vals, which must hold telemetry.AlertKeys.Len() elements (the engine
+// reuses one scratch array per emission; offline tools may pass a fresh
+// slice).
+func (a Alert) Event(vals []float64) telemetry.Event {
 	sev := float64(severityCodeWarning)
 	if a.Severity == SeverityCritical {
 		sev = severityCodeCritical
@@ -122,16 +123,16 @@ func (a Alert) Event(fields map[string]float64) telemetry.Event {
 	case ScopeNetwork:
 		scope = scopeCodeNetwork
 	}
-	fields["severity"] = sev
-	fields["state"] = st
-	fields["value"] = a.Value
-	fields["threshold"] = a.Threshold
-	fields["window"] = float64(a.Window)
-	fields["scope"] = scope
+	vals[telemetry.AlertSeverity] = sev
+	vals[telemetry.AlertState] = st
+	vals[telemetry.AlertValue] = a.Value
+	vals[telemetry.AlertThreshold] = a.Threshold
+	vals[telemetry.AlertWindow] = float64(a.Window)
+	vals[telemetry.AlertScope] = scope
 	return telemetry.Event{
 		K: a.K, At: a.At, Link: a.Link,
 		Kind: telemetry.EventAlert, Check: a.Detector, Msg: a.Msg,
-		Fields: fields,
+		Fields: telemetry.MakeFields(telemetry.AlertKeys, vals),
 	}
 }
 
@@ -296,9 +297,9 @@ type Engine struct {
 	total       *telemetry.Counter
 	perDetector map[string]*telemetry.Counter
 
-	// alertFields is the reused scratch Fields map for alert events (fixed
-	// key set; sinks must not retain it, per the Sink contract).
-	alertFields map[string]float64
+	// alertVals is the reused payload scratch for alert events (sinks must
+	// not retain it, per the Sink contract).
+	alertVals [6]float64
 }
 
 // linkState is one link's detector state.
@@ -373,7 +374,6 @@ func New(cfg Config) (*Engine, error) {
 		links:       make([]linkState, cfg.Links),
 		byDetector:  make(map[string]int64),
 		perDetector: make(map[string]*telemetry.Counter),
-		alertFields: make(map[string]float64, 6),
 	}
 	for i := range e.links {
 		q := cfg.Required[i]
@@ -403,15 +403,15 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Emit(ev telemetry.Event) {
 	switch ev.Kind {
 	case telemetry.EventTx:
-		if ev.Link < 0 || ev.Link >= e.cfg.Links || ev.Fields["empty"] != 0 {
+		if ev.Link < 0 || ev.Link >= e.cfg.Links || ev.Fields.Get("empty") != 0 {
 			return
 		}
 		e.attempts[ev.Link]++
-		if ev.Fields["outcome"] == 0 { // medium.Delivered
+		if ev.Fields.Get("outcome") == 0 { // medium.Delivered
 			e.delivered[ev.Link]++
 		}
 	case telemetry.EventConflict:
-		peer := int(ev.Fields["peer"])
+		peer := int(ev.Fields.Get("peer"))
 		if ev.Link < 0 || ev.Link >= e.cfg.Links || peer < 0 || peer >= e.cfg.Links {
 			return
 		}
@@ -450,7 +450,7 @@ func (e *Engine) endInterval(ev telemetry.Event) {
 	for _, s := range e.series {
 		e.observeDrift(s, k, at, total)
 	}
-	e.observeSpike(ev.Fields["expired"], k, at)
+	e.observeSpike(ev.Fields.Get("expired"), k, at)
 
 	for i := range e.delivered {
 		e.delivered[i] = 0
@@ -525,7 +525,7 @@ func (e *Engine) record(a Alert) {
 		e.retained = append(e.retained, a)
 	}
 	if e.cfg.Output != nil {
-		e.cfg.Output.Emit(a.Event(e.alertFields))
+		e.cfg.Output.Emit(a.Event(e.alertVals[:]))
 	}
 }
 

@@ -81,8 +81,8 @@ func TestJourneyReconciliation(t *testing.T) {
 			}
 			var arrivals, served int64
 			for _, e := range events {
-				arrivals += int64(e.Fields["arrivals"])
-				served += int64(e.Fields["served"])
+				arrivals += int64(e.Fields.Get("arrivals"))
+				served += int64(e.Fields.Get("served"))
 			}
 			if agg.Total != arrivals {
 				t.Errorf("attribution total %d != %d packets arrived", agg.Total, arrivals)
