@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover clean
+.PHONY: all build vet perfbench-check test test-short bench bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover clean
 
 all: build vet test
 
@@ -11,6 +11,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark is a module of its own (perfbench/go.mod), so `go build ./...`
+# and `go vet ./...` at the root skip it; it imports internal packages, so
+# vet and build it on its own.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

@@ -37,7 +37,7 @@ import (
 func main() {
 	var (
 		configPath = flag.String("config", "", "JSON scenario file (overrides the other flags; see package rtmac/scenario)")
-		protoName  = flag.String("protocol", "dbdp", "dbdp | ldf | eldf | fcsma | framecsma | dcf")
+		protoName  = flag.String("protocol", "dbdp", "dbdp | ldf | eldf | fcsma | framecsma | tdma | dcf")
 		profile    = flag.String("profile", "control", "video | control")
 		links      = flag.Int("links", 10, "number of links")
 		p          = flag.Float64("p", 0.7, "per-link delivery probability")
@@ -84,6 +84,9 @@ func main() {
 	}
 	if *jSample < 1 {
 		fatal(fmt.Errorf("-journey-sample %d must be at least 1 (1 records every packet)", *jSample))
+	}
+	if *pairs < 1 {
+		fatal(fmt.Errorf("-pairs %d must be at least 1", *pairs))
 	}
 	if *checkev != "" {
 		if err := checkEvents(*checkev); err != nil {
@@ -150,28 +153,24 @@ func main() {
 		return
 	}
 
-	prof, err := profileByName(*profile)
+	// The flag path is a one-group scenario document, so flags and -config
+	// files resolve names through the same code.
+	cfg, n, err := scenario.Build(scenario.Document{
+		Seed:      *seed,
+		Intervals: *intervals,
+		Profile:   scenario.ProfileSpec{Preset: *profile},
+		Protocol:  scenario.ProtocolSpec{Name: *protoName, Pairs: *pairs},
+		Links: []scenario.LinkGroup{{
+			Count:         *links,
+			SuccessProb:   *p,
+			Arrivals:      scenario.ArrivalsSpec{Type: *arrivals, Param: *rate},
+			DeliveryRatio: *ratio,
+		}},
+	})
 	if err != nil {
 		fatal(err)
 	}
-	arr, err := arrivalsByName(*arrivals, *rate)
-	if err != nil {
-		fatal(err)
-	}
-	prot, err := protocolByName(*protoName, *pairs)
-	if err != nil {
-		fatal(err)
-	}
-	linkCfgs := make([]rtmac.Link, *links)
-	for i := range linkCfgs {
-		linkCfgs[i] = rtmac.Link{SuccessProb: *p, Arrivals: arr, DeliveryRatio: *ratio}
-	}
-	runAndReport(rtmac.Config{
-		Seed:     *seed,
-		Profile:  prof,
-		Links:    linkCfgs,
-		Protocol: prot,
-	}, *intervals)
+	runAndReport(cfg, n)
 }
 
 // The flag globals are set before runAndReport runs; topo carries the named
@@ -713,54 +712,6 @@ func checkPerfetto(path string) error {
 	}
 	fmt.Printf("%s: %d trace events ok\n", path, n)
 	return nil
-}
-
-func profileByName(name string) (rtmac.Profile, error) {
-	switch name {
-	case "video":
-		return rtmac.VideoProfile(), nil
-	case "control":
-		return rtmac.ControlProfile(), nil
-	default:
-		return rtmac.Profile{}, fmt.Errorf("unknown profile %q (want video or control)", name)
-	}
-}
-
-func arrivalsByName(name string, rate float64) (rtmac.Arrivals, error) {
-	switch name {
-	case "bernoulli":
-		return rtmac.BernoulliArrivals(rate)
-	case "video":
-		return rtmac.VideoArrivals(rate)
-	case "fixed":
-		return rtmac.FixedArrivals(int(rate)), nil
-	default:
-		return rtmac.Arrivals{}, fmt.Errorf("unknown arrival process %q", name)
-	}
-}
-
-func protocolByName(name string, pairs int) (rtmac.Protocol, error) {
-	switch name {
-	case "dbdp":
-		if pairs != 1 {
-			return rtmac.DBDP(rtmac.WithSwapPairs(pairs)), nil
-		}
-		return rtmac.DBDP(), nil
-	case "ldf":
-		return rtmac.LDF(), nil
-	case "eldf":
-		return rtmac.ELDF(rtmac.PaperInfluence()), nil
-	case "fcsma":
-		return rtmac.FCSMA(), nil
-	case "framecsma":
-		return rtmac.FrameCSMA(), nil
-	case "tdma":
-		return rtmac.TDMA(), nil
-	case "dcf":
-		return rtmac.DCF(), nil
-	default:
-		return rtmac.Protocol{}, fmt.Errorf("unknown protocol %q", name)
-	}
 }
 
 func fatal(err error) {

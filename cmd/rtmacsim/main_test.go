@@ -7,56 +7,62 @@ import (
 	"testing"
 
 	"rtmac"
+	"rtmac/scenario"
 )
 
-func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"video", "control"} {
-		if _, err := profileByName(name); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if _, err := profileByName("lte"); err == nil {
-		t.Error("unknown profile accepted")
+// flagDocument is the one-group scenario document main builds from the
+// command-line flags, at the flags' defaults apart from the named profile,
+// protocol and swap pairs.
+func flagDocument(profile, protocol string, pairs int) scenario.Document {
+	return scenario.Document{
+		Seed:      1,
+		Intervals: 10,
+		Profile:   scenario.ProfileSpec{Preset: profile},
+		Protocol:  scenario.ProtocolSpec{Name: protocol, Pairs: pairs},
+		Links: []scenario.LinkGroup{{
+			Count:         10,
+			SuccessProb:   0.7,
+			Arrivals:      scenario.ArrivalsSpec{Type: "bernoulli", Param: 0.78},
+			DeliveryRatio: 0.99,
+		}},
 	}
 }
 
-func TestArrivalsByName(t *testing.T) {
-	cases := []struct {
-		name string
-		rate float64
-	}{
-		{"bernoulli", 0.5},
-		{"video", 0.4},
-		{"fixed", 2},
-	}
-	for _, tc := range cases {
-		if _, err := arrivalsByName(tc.name, tc.rate); err != nil {
-			t.Errorf("%s: %v", tc.name, err)
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]rtmac.Profile{
+		"video":   rtmac.VideoProfile(),
+		"control": rtmac.ControlProfile(),
+	} {
+		cfg, _, err := scenario.Build(flagDocument(name, "dbdp", 1))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if cfg.Profile != want {
+			t.Errorf("%s: resolved to the wrong profile", name)
 		}
 	}
-	if _, err := arrivalsByName("poisson", 1); err == nil {
-		t.Error("unknown arrival process accepted")
-	}
-	if _, err := arrivalsByName("bernoulli", 2); err == nil {
-		t.Error("invalid rate accepted")
+	if _, _, err := scenario.Build(flagDocument("lte", "dbdp", 1)); err == nil {
+		t.Error("unknown profile accepted")
 	}
 }
 
 func TestProtocolByName(t *testing.T) {
 	for _, name := range []string{"dbdp", "ldf", "eldf", "fcsma", "framecsma", "tdma", "dcf"} {
-		p, err := protocolByName(name, 1)
+		cfg, _, err := scenario.Build(flagDocument("control", name, 1))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
+			continue
 		}
-		if p.Label() == "" {
+		if cfg.Protocol.Label() == "" {
 			t.Errorf("%s: empty label", name)
 		}
 	}
-	if _, err := protocolByName("aloha", 1); err == nil {
+	if _, _, err := scenario.Build(flagDocument("control", "aloha", 1)); err == nil {
 		t.Error("unknown protocol accepted")
 	}
-	if _, err := protocolByName("dbdp", 3); err != nil {
-		t.Error("multi-pair dbdp rejected")
+	if _, _, err := scenario.Build(flagDocument("control", "dbdp", 3)); err != nil {
+		t.Errorf("multi-pair dbdp rejected: %v", err)
 	}
 }
 

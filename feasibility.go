@@ -111,7 +111,7 @@ func CapacityFrontier(cfg Config, probeIntervals int) (float64, error) {
 // supports only ≈ 70 % of the admissible load is
 // ProtocolCapacity(FCSMA) / CapacityFrontier ≈ 0.7.
 func ProtocolCapacity(cfg Config, protocol Protocol, probeIntervals int) (float64, error) {
-	if protocol.build == nil {
+	if protocol.spec.Build == nil {
 		return 0, fmt.Errorf("rtmac: no protocol configured")
 	}
 	problem, err := toProblem(cfg)
@@ -121,7 +121,7 @@ func ProtocolCapacity(cfg Config, protocol Protocol, probeIntervals int) (float6
 	gamma, err := feasibility.Frontier(problem, feasibility.ProbeConfig{
 		Seed:      cfg.Seed + 1,
 		Intervals: probeIntervals,
-		Protocol:  protocol.build,
+		Protocol:  protocol.spec.Build,
 	}, 0.05, 4.0, 14)
 	if err != nil {
 		return 0, fmt.Errorf("rtmac: %w", err)

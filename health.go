@@ -67,7 +67,7 @@ func (s *Simulation) EnableHealth(cfg HealthConfig) (*Health, error) {
 		}
 		h.dog = health.NewWatchdog(health.WatchdogConfig{
 			Budget:   budget,
-			Sink:     simFanout{s: s},
+			Sink:     &s.fanout,
 			Registry: s.nw.Telemetry(),
 		})
 		s.nw.SetWallClockHooks(h.dog.BeginInterval, h.dog.EndInterval)

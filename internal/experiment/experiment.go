@@ -15,21 +15,19 @@ import (
 	"math"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 
 	"rtmac/internal/arrival"
-	"rtmac/internal/core"
 	"rtmac/internal/ledger"
 	"rtmac/internal/mac"
-	"rtmac/internal/mac/dcf"
 	"rtmac/internal/mac/fcsma"
-	"rtmac/internal/mac/framecsma"
-	"rtmac/internal/mac/ldf"
+	"rtmac/internal/medium"
 	"rtmac/internal/metrics"
 	"rtmac/internal/monitor"
 	"rtmac/internal/phy"
+	"rtmac/internal/protocol"
+	"rtmac/internal/sim"
 	"rtmac/internal/stats"
 	"rtmac/internal/telemetry"
 	"rtmac/internal/watch"
@@ -207,61 +205,32 @@ type Figure interface {
 	Run(opts RunOptions) (*Result, error)
 }
 
-// protocolSpec names one policy and knows how to build a fresh instance.
-// collisionFree and swapPairs parameterize the invariant monitor when
-// RunOptions.Monitor is set.
-type protocolSpec struct {
-	label         string
-	build         func(n int) (mac.Protocol, error)
-	collisionFree bool
-	swapPairs     int
-}
-
-func dbdpSpec() protocolSpec {
-	return protocolSpec{label: "DB-DP", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-		return core.NewDBDP(n)
-	}}
-}
-
-func ldfSpec() protocolSpec {
-	return protocolSpec{label: "LDF", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-		return ldf.NewLDF(), nil
-	}}
-}
-
-func fcsmaSpec() protocolSpec {
-	return protocolSpec{label: "FCSMA", build: func(n int) (mac.Protocol, error) {
-		return fcsma.New(fcsma.DefaultConfig())
-	}}
-}
-
-func dcfSpec() protocolSpec {
-	return protocolSpec{label: "DCF", build: func(n int) (mac.Protocol, error) {
-		return dcf.New(n, dcf.DefaultConfig())
-	}}
-}
-
-func framecsmaSpec() protocolSpec {
-	return protocolSpec{label: "Frame-CSMA", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-		return framecsma.New(framecsma.DefaultConfig())
-	}}
+// paperSpecs are the three policies the paper's figures compare.
+func paperSpecs() []protocol.Spec {
+	return []protocol.Spec{protocol.DBDP(protocol.PaperDBDP()), protocol.LDF(), protocol.FCSMA(fcsma.DefaultConfig())}
 }
 
 // scenario is one fully specified network instance.
 type scenario struct {
 	profile     phy.Profile
 	successProb []float64
+	// channel, when non-nil, replaces successProb with a time-varying
+	// channel model bound to the network's engine (Gilbert–Elliott fading).
+	channel     func(eng *sim.Engine, links int) (medium.Model, error)
 	arrivals    arrival.VectorProcess
 	required    []float64
 	intervals   int
 	seriesEvery int
+	// delayBins, when positive, also records a delivery-delay histogram
+	// with that many bins per interval.
+	delayBins int
 }
 
 // runOut is everything one simulation yields to its reducer.
 type runOut struct {
 	col   *metrics.Collector
 	delay *metrics.DelaySketch
-	prot  mac.Protocol
+	hist  *metrics.DelayStats // nil unless scenario.delayBins > 0
 }
 
 // replication packages the run as one seed-tagged replication for the
@@ -278,13 +247,16 @@ func (o runOut) replication(seed uint64, value float64) stats.Replication {
 }
 
 // runOne simulates a scenario under a protocol and returns the collector and
-// a delivery-delay sketch. With opts.Monitor, the strict invariant monitor
-// rides along and the run fails at the end of the first violating interval.
-// opts.Telemetry and opts.Events, when set, are attached to the network.
-func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOut, error) {
-	prot, err := spec.build(len(sc.successProb))
+// a delivery-delay sketch. It is the only place a figure builds a network.
+// With opts.Monitor, the strict invariant monitor rides along and the run
+// fails at the end of the first violating interval; opts.Watch adds the SLO
+// engine. Both planes and opts.Events share one fan-out, which is the
+// network's event sink and the planes' output.
+func runOne(sc scenario, spec protocol.Spec, seed uint64, opts RunOptions) (runOut, error) {
+	links := len(sc.required)
+	prot, err := spec.Build(links)
 	if err != nil {
-		return runOut{}, fmt.Errorf("experiment: building %s: %w", spec.label, err)
+		return runOut{}, fmt.Errorf("experiment: building %s: %w", spec.Label, err)
 	}
 	var colOpts []metrics.Option
 	if sc.seriesEvery > 0 {
@@ -295,65 +267,62 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 		return runOut{}, err
 	}
 	nw, err := mac.NewNetwork(mac.NetworkConfig{
-		Seed:        seed,
-		Profile:     sc.profile,
-		SuccessProb: sc.successProb,
-		Arrivals:    sc.arrivals,
-		Required:    sc.required,
-		Protocol:    prot,
-		Observers:   []mac.Observer{col},
-		Telemetry:   opts.Telemetry,
-		Events:      opts.Events,
+		Seed:           seed,
+		Profile:        sc.profile,
+		SuccessProb:    sc.successProb,
+		ChannelFactory: sc.channel,
+		Arrivals:       sc.arrivals,
+		Required:       sc.required,
+		Protocol:       prot,
+		Observers:      []mac.Observer{col},
+		Telemetry:      opts.Telemetry,
 	})
 	if err != nil {
 		return runOut{}, err
 	}
-	delay, err := metrics.NewDelaySketch(sc.profile.Interval)
-	if err != nil {
+	out := runOut{col: col}
+	if out.delay, err = metrics.NewDelaySketch(sc.profile.Interval); err != nil {
 		return runOut{}, err
 	}
-	delay.Attach(nw.Medium())
-	// The event-sink chain grows as options stack: monitor and watch engine
-	// ride alongside whatever external stream the caller already attached.
-	sinks := make(telemetry.MultiSink, 0, 3)
-	if opts.Monitor {
-		mon, err := monitor.New(monitor.Config{
-			Links:         len(sc.successProb),
-			Interval:      sc.profile.Interval,
-			CollisionFree: spec.collisionFree,
-			SwapPairs:     spec.swapPairs,
-			Strict:        true,
-			Registry:      nw.Telemetry(),
-		})
-		if err != nil {
-			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.label, err)
+	out.delay.Attach(nw.Medium())
+	if sc.delayBins > 0 {
+		if out.hist, err = metrics.NewDelayStats(sc.profile.Interval, sc.delayBins); err != nil {
+			return runOut{}, err
 		}
-		sinks = append(sinks, mon)
+		out.hist.Attach(nw.Medium())
+	}
+	fan := make(telemetry.MultiSink, 0, 3)
+	if opts.Monitor {
+		cfg := spec.Monitor(links, sc.profile.Interval, nil)
+		cfg.Strict = true
+		cfg.Registry = nw.Telemetry()
+		cfg.Output = &fan
+		mon, err := monitor.New(cfg)
+		if err != nil {
+			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.Label, err)
+		}
+		fan = append(fan, mon)
 		nw.SetIntervalCheck(mon.Err)
 	}
 	var eng *watch.Engine
 	if opts.Watch {
 		eng, err = watch.New(watch.Config{
-			Links:    len(sc.successProb),
+			Links:    links,
 			Required: sc.required,
 			Budget:   opts.WatchBudget,
 			Registry: nw.Telemetry(),
-			Output:   opts.Events, // alerts join the external stream, if any
+			Output:   &fan,
 		})
 		if err != nil {
-			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.label, err)
+			return runOut{}, fmt.Errorf("experiment: %s: %w", spec.Label, err)
 		}
-		sinks = append(sinks, eng)
+		fan = append(fan, eng)
 	}
-	if len(sinks) > 0 {
-		if opts.Events != nil { // keep the external stream alongside
-			sinks = append(sinks, opts.Events)
-		}
-		if len(sinks) == 1 {
-			nw.SetEventSink(sinks[0])
-		} else {
-			nw.SetEventSink(sinks)
-		}
+	if opts.Events != nil {
+		fan = append(fan, opts.Events)
+	}
+	if len(fan) > 0 {
+		nw.SetEventSink(&fan)
 	}
 	if err := nw.Run(sc.intervals); err != nil {
 		return runOut{}, err
@@ -361,15 +330,14 @@ func runOne(sc scenario, spec protocolSpec, seed uint64, opts RunOptions) (runOu
 	if eng != nil && opts.WatchTally != nil {
 		opts.WatchTally.Merge(eng)
 	}
-	return runOut{col: col, delay: delay, prot: prot}, nil
+	return out, nil
 }
 
 // job is one (sweep point, protocol, seed) simulation; reduce merges its
 // output into the aggregate.
 type job struct {
 	key    string // "<x>/<protocol>"
-	x      float64
-	spec   protocolSpec
+	spec   protocol.Spec
 	sc     scenario
 	seed   uint64
 	reduce func(seed uint64, out runOut)
@@ -382,11 +350,13 @@ type figureMeta struct {
 	title string
 }
 
-// runJobs executes jobs across a worker pool; reduce callbacks run under a
-// single mutex so they can write shared aggregates without further locking.
-// The tracker (when set) sees the figure start, every job completion, and
-// the figure finish; Progress writes go through the options' synchronized
-// writer outside the reduce lock.
+// runJobs executes jobs across a worker pool; it is how every figure runs
+// its simulations. Reduce callbacks run under a single mutex so they can
+// write shared aggregates without further locking, but in completion order:
+// a reducer that is not order-independent must store per-job results and
+// fold them after runJobs returns. The tracker (when set) sees the figure
+// start, every job completion, and the figure finish; Progress writes go
+// through the options' synchronized writer outside the reduce lock.
 func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
 	if opts.Tracker != nil {
 		opts.Tracker.FigureStarted(meta.id, meta.title, len(jobs))
@@ -399,7 +369,6 @@ func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
 	)
 	sem := make(chan struct{}, opts.Workers)
 	for _, j := range jobs {
-		j := j
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -441,117 +410,6 @@ func runJobs(meta figureMeta, jobs []job, opts RunOptions) error {
 
 // ciLevel is the confidence level figure aggregates report.
 const ciLevel = 0.95
-
-// deficiencySweep runs a standard deficiency-vs-x figure: for each x value
-// and protocol, aggregate TotalDeficiency over opts.Seeds replications into
-// mean, standard error, 95% confidence half-width and delivery-delay
-// quantiles. Replications are seed-tagged, so the summary is independent of
-// worker completion order.
-func deficiencySweep(meta figureMeta, xs []float64, build func(x float64) (scenario, error),
-	specs []protocolSpec, opts RunOptions) ([]Series, error) {
-	aggregates := make(map[string]*stats.PointAggregate)
-	var jobs []job
-	for _, x := range xs {
-		sc, err := build(x)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range specs {
-			key := fmt.Sprintf("%g/%s", x, spec.label)
-			a := &stats.PointAggregate{}
-			aggregates[key] = a
-			for s := 0; s < opts.Seeds; s++ {
-				jobs = append(jobs, job{
-					key:  key,
-					x:    x,
-					spec: spec,
-					sc:   sc,
-					seed: opts.seedFor(s, len(jobs)),
-					reduce: func(seed uint64, out runOut) {
-						a.Add(out.replication(seed, out.col.TotalDeficiency()))
-					},
-				})
-			}
-		}
-	}
-	if err := runJobs(meta, jobs, opts); err != nil {
-		return nil, err
-	}
-	series := make([]Series, 0, len(specs))
-	for _, spec := range specs {
-		s := Series{Label: spec.label}
-		for _, x := range xs {
-			a := aggregates[fmt.Sprintf("%g/%s", x, spec.label)]
-			if a.Count() == 0 {
-				return nil, fmt.Errorf("experiment: no completed replications for %s at %g", spec.label, x)
-			}
-			s.addSummary(x, a.Summary(ciLevel))
-			opts.Recorder.RecordAggregate(meta.id, spec.label, x, "deficiency", ledger.BetterLower, a)
-		}
-		series = append(series, s)
-	}
-	return series, nil
-}
-
-// groupDeficiencySweep is deficiencySweep but splits the deficiency by link
-// group, producing one curve per (protocol, group). The delay quantiles are
-// network-wide, so both group curves of one protocol share them.
-func groupDeficiencySweep(meta figureMeta, xs []float64, build func(x float64) (scenario, error),
-	specs []protocolSpec, groups map[string][]int, opts RunOptions) ([]Series, error) {
-	aggregates := make(map[string]map[string]*stats.PointAggregate)
-	var jobs []job
-	for _, x := range xs {
-		sc, err := build(x)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range specs {
-			key := fmt.Sprintf("%g/%s", x, spec.label)
-			byGroup := make(map[string]*stats.PointAggregate, len(groups))
-			for g := range groups {
-				byGroup[g] = &stats.PointAggregate{}
-			}
-			aggregates[key] = byGroup
-			for s := 0; s < opts.Seeds; s++ {
-				jobs = append(jobs, job{
-					key:  key,
-					spec: spec,
-					sc:   sc,
-					seed: opts.seedFor(s, len(jobs)),
-					reduce: func(seed uint64, out runOut) {
-						for g, links := range groups {
-							byGroup[g].Add(out.replication(seed, out.col.GroupDeficiency(links)))
-						}
-					},
-				})
-			}
-		}
-	}
-	if err := runJobs(meta, jobs, opts); err != nil {
-		return nil, err
-	}
-	groupNames := make([]string, 0, len(groups))
-	for g := range groups {
-		groupNames = append(groupNames, g)
-	}
-	sort.Strings(groupNames)
-	var series []Series
-	for _, spec := range specs {
-		for _, g := range groupNames {
-			s := Series{Label: fmt.Sprintf("%s %s", spec.label, g)}
-			for _, x := range xs {
-				a := aggregates[fmt.Sprintf("%g/%s", x, spec.label)][g]
-				if a.Count() == 0 {
-					return nil, fmt.Errorf("experiment: no completed replications for %s at %g", spec.label, x)
-				}
-				s.addSummary(x, a.Summary(ciLevel))
-				opts.Recorder.RecordAggregate(meta.id, s.Label, x, "deficiency", ledger.BetterLower, a)
-			}
-			series = append(series, s)
-		}
-	}
-	return series, nil
-}
 
 // sweepRange returns lo, lo+step, ..., hi (inclusive within rounding),
 // with each value rounded to six decimals so accumulated float error never

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"rtmac/internal/mac"
+	"rtmac/internal/protocol"
+	"rtmac/internal/telemetry"
 )
 
 // fastOpts keeps the figure sweeps affordable in CI while preserving shape:
@@ -513,28 +515,22 @@ func TestExtraDelayShape(t *testing.T) {
 }
 
 func TestSweepPropagatesBuildErrors(t *testing.T) {
-	broken := protocolSpec{label: "broken", build: func(int) (mac.Protocol, error) {
+	broken := protocol.Spec{Label: "broken", Build: func(int) (mac.Protocol, error) {
 		return nil, fmt.Errorf("deliberate failure")
 	}}
-	sc, err := controlScenario(0.5, 0.9, 10)
-	if err != nil {
-		t.Fatal(err)
+	control := func(float64, RunOptions) (scenario, error) { return controlScenario(0.5, 0.9, 10) }
+	cases := map[string]*sweepFigure{
+		"broken protocol build": {id: "t", xs: []float64{0.5}, build: control, specs: []protocol.Spec{broken}},
+		"broken protocol build through group sweep": {id: "t", xs: []float64{0.5}, build: control,
+			specs: []protocol.Spec{broken}, groups: map[string][]int{"g": {0}}},
+		"scenario build error": {id: "t", xs: []float64{0.5},
+			build: func(float64, RunOptions) (scenario, error) { return scenario{}, fmt.Errorf("bad scenario") },
+			specs: []protocol.Spec{protocol.LDF()}},
 	}
-	_, err = deficiencySweep(figureMeta{id: "t"}, []float64{0.5}, func(float64) (scenario, error) { return sc, nil },
-		[]protocolSpec{broken}, RunOptions{}.fill())
-	if err == nil {
-		t.Fatal("broken protocol build did not propagate")
-	}
-	_, err = groupDeficiencySweep(figureMeta{id: "t"}, []float64{0.5}, func(float64) (scenario, error) { return sc, nil },
-		[]protocolSpec{broken}, map[string][]int{"g": {0}}, RunOptions{}.fill())
-	if err == nil {
-		t.Fatal("broken protocol build did not propagate through group sweep")
-	}
-	_, err = deficiencySweep(figureMeta{id: "t"}, []float64{0.5},
-		func(float64) (scenario, error) { return scenario{}, fmt.Errorf("bad scenario") },
-		[]protocolSpec{ldfSpec()}, RunOptions{}.fill())
-	if err == nil {
-		t.Fatal("scenario build error not propagated")
+	for name, f := range cases {
+		if _, err := f.Run(RunOptions{Seeds: 1}); err == nil {
+			t.Errorf("%s not propagated", name)
+		}
 	}
 }
 
@@ -623,24 +619,47 @@ func (c *countingTracker) FigureFinished(id string) {
 	c.mu.Unlock()
 }
 
+// TestSweepReportsProgressToTracker runs every figure with the strict
+// monitor and the watch engine on, sharing a fresh registry: each must
+// report every job it announced, and both planes must ride inside its
+// simulations.
 func TestSweepReportsProgressToTracker(t *testing.T) {
-	tr := newCountingTracker()
-	opts := fastOpts()
-	opts.Seeds = 2
-	opts.Tracker = tr
-	res, err := Fig3().Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(res.Series[0].X) * len(res.Series) * opts.Seeds
-	if tr.started["fig3"] != want {
-		t.Fatalf("FigureStarted total %d, want %d", tr.started["fig3"], want)
-	}
-	if tr.done["fig3"] != want {
-		t.Fatalf("JobCompleted %d, want %d", tr.done["fig3"], want)
-	}
-	if !tr.finished["fig3"] {
-		t.Fatal("FigureFinished not called")
+	for _, fig := range Extended() {
+		t.Run(fig.ID(), func(t *testing.T) {
+			tr := newCountingTracker()
+			reg := telemetry.NewRegistry()
+			opts := fastOpts()
+			opts.Seeds = 2
+			opts.Tracker = tr
+			opts.Monitor = true
+			opts.Watch = true
+			opts.Telemetry = reg
+			res, err := fig.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := fig.ID()
+			if tr.started[id] == 0 {
+				t.Fatal("FigureStarted announced no jobs")
+			}
+			if id == "fig3" {
+				if want := len(res.Series[0].X) * len(res.Series) * opts.Seeds; tr.started[id] != want {
+					t.Fatalf("FigureStarted total %d, want %d", tr.started[id], want)
+				}
+			}
+			if tr.done[id] != tr.started[id] {
+				t.Fatalf("JobCompleted %d, want the announced %d", tr.done[id], tr.started[id])
+			}
+			if !tr.finished[id] {
+				t.Fatal("FigureFinished not called")
+			}
+			names := strings.Join(reg.Names(), " ")
+			for _, metric := range []string{"rtmac_monitor_violations_total", "rtmac_watch_alerts_total"} {
+				if !strings.Contains(" "+names+" ", " "+metric+" ") {
+					t.Errorf("%s not registered: the plane did not run", metric)
+				}
+			}
+		})
 	}
 }
 

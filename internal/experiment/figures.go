@@ -2,11 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"sort"
 
 	"rtmac/internal/arrival"
-	"rtmac/internal/core"
-	"rtmac/internal/mac"
+	"rtmac/internal/ledger"
+	"rtmac/internal/metrics"
 	"rtmac/internal/phy"
+	"rtmac/internal/protocol"
+	"rtmac/internal/stats"
 )
 
 // Paper constants for the two evaluation scenarios (Section VI).
@@ -109,13 +112,23 @@ func asymmetricGroups() map[string][]int {
 	return map[string][]int{"group1": g1, "group2": g2}
 }
 
-// sweepFigure is a deficiency-vs-x figure fully described by data.
+// sweepFigure is a deficiency-vs-x figure fully described by data: one
+// curve per protocol (or per protocol and link group), each point
+// aggregated over opts.Seeds replications into mean, standard error, 95%
+// confidence half-width and delivery-delay quantiles. Replications are
+// seed-tagged, so the summary is independent of worker completion order.
 type sweepFigure struct {
 	id, title, xlabel string
 	xs                []float64
-	build             func(x float64, opts RunOptions) (scenario, error)
-	groups            map[string][]int // nil for total deficiency
-	specs             []protocolSpec
+	// build returns a fresh scenario for every job, so stateful arrival
+	// processes (Markov-modulated regimes) are never shared between jobs.
+	build  func(x float64, opts RunOptions) (scenario, error)
+	groups map[string][]int // nil for total deficiency
+	specs  []protocol.Spec
+	// replicationSeeds keys each job's seed on its replication index alone —
+	// the historical schedule of the beyond-paper sweeps — instead of
+	// folding the job index in.
+	replicationSeeds bool
 }
 
 func (f *sweepFigure) ID() string    { return f.id }
@@ -123,17 +136,7 @@ func (f *sweepFigure) Title() string { return f.title }
 
 func (f *sweepFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
-	build := func(x float64) (scenario, error) { return f.build(x, opts) }
-	var (
-		series []Series
-		err    error
-	)
-	meta := figureMeta{id: f.id, title: f.title}
-	if f.groups == nil {
-		series, err = deficiencySweep(meta, f.xs, build, f.specs, opts)
-	} else {
-		series, err = groupDeficiencySweep(meta, f.xs, build, f.specs, f.groups, opts)
-	}
+	series, err := f.sweep(opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", f.id, err)
 	}
@@ -144,6 +147,84 @@ func (f *sweepFigure) Run(opts RunOptions) (*Result, error) {
 	return &Result{ID: f.id, Title: f.title, XLabel: f.xlabel, YLabel: ylabel, Series: series}, nil
 }
 
+// curve splits one run's deficiency into a figure curve: the total, or one
+// link group's share. The delay quantiles are network-wide, so all group
+// curves of one protocol share them.
+type curve struct {
+	suffix string
+	value  func(col *metrics.Collector) float64
+}
+
+func (f *sweepFigure) curves() []curve {
+	if f.groups == nil {
+		return []curve{{value: (*metrics.Collector).TotalDeficiency}}
+	}
+	names := make([]string, 0, len(f.groups))
+	for g := range f.groups {
+		names = append(names, g)
+	}
+	sort.Strings(names)
+	out := make([]curve, len(names))
+	for i, g := range names {
+		links := f.groups[g]
+		out[i] = curve{suffix: " " + g, value: func(col *metrics.Collector) float64 {
+			return col.GroupDeficiency(links)
+		}}
+	}
+	return out
+}
+
+func (f *sweepFigure) sweep(opts RunOptions) ([]Series, error) {
+	curves := f.curves()
+	aggregates := make(map[string][]*stats.PointAggregate)
+	var jobs []job
+	for _, x := range f.xs {
+		for _, spec := range f.specs {
+			key := fmt.Sprintf("%g/%s", x, spec.Label)
+			aggs := make([]*stats.PointAggregate, len(curves))
+			for i := range aggs {
+				aggs[i] = &stats.PointAggregate{}
+			}
+			aggregates[key] = aggs
+			for s := 0; s < opts.Seeds; s++ {
+				sc, err := f.build(x, opts)
+				if err != nil {
+					return nil, err
+				}
+				seed := opts.seedFor(s, len(jobs))
+				if f.replicationSeeds {
+					seed = opts.seedFor(s, 0)
+				}
+				jobs = append(jobs, job{key: key, spec: spec, sc: sc, seed: seed,
+					reduce: func(seed uint64, out runOut) {
+						for i, c := range curves {
+							aggs[i].Add(out.replication(seed, c.value(out.col)))
+						}
+					}})
+			}
+		}
+	}
+	if err := runJobs(figureMeta{id: f.id, title: f.title}, jobs, opts); err != nil {
+		return nil, err
+	}
+	var series []Series
+	for _, spec := range f.specs {
+		for i, c := range curves {
+			s := Series{Label: spec.Label + c.suffix}
+			for _, x := range f.xs {
+				a := aggregates[fmt.Sprintf("%g/%s", x, spec.Label)][i]
+				if a.Count() == 0 {
+					return nil, fmt.Errorf("experiment: no completed replications for %s at %g", spec.Label, x)
+				}
+				s.addSummary(x, a.Summary(ciLevel))
+				opts.Recorder.RecordAggregate(f.id, s.Label, x, "deficiency", ledger.BetterLower, a)
+			}
+			series = append(series, s)
+		}
+	}
+	return series, nil
+}
+
 // Fig3 sweeps the symmetric video network's burst probability α* at a fixed
 // 90 % delivery ratio.
 func Fig3() Figure {
@@ -152,7 +233,7 @@ func Fig3() Figure {
 		title:  "Symmetric video network, 90% delivery ratio: deficiency vs arrival rate",
 		xlabel: "alpha*",
 		xs:     sweepRange(0.40, 0.70, 0.05),
-		specs:  []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()},
+		specs:  paperSpecs(),
 		build: func(x float64, opts RunOptions) (scenario, error) {
 			return videoScenario(x, videoRho, opts.scaled(videoIntervals))
 		},
@@ -166,7 +247,7 @@ func Fig4() Figure {
 		title:  "Symmetric video network, alpha*=0.55: deficiency vs delivery ratio",
 		xlabel: "delivery ratio",
 		xs:     sweepRange(0.80, 1.00, 0.04),
-		specs:  []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()},
+		specs:  paperSpecs(),
 		build: func(x float64, opts RunOptions) (scenario, error) {
 			return videoScenario(0.55, x, opts.scaled(videoIntervals))
 		},
@@ -182,7 +263,7 @@ func Fig7() Figure {
 		xlabel: "alpha*",
 		xs:     sweepRange(0.50, 0.80, 0.05),
 		groups: asymmetricGroups(),
-		specs:  []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()},
+		specs:  paperSpecs(),
 		build: func(x float64, opts RunOptions) (scenario, error) {
 			return asymmetricScenario(x, videoRho, opts.scaled(videoIntervals))
 		},
@@ -197,7 +278,7 @@ func Fig8() Figure {
 		xlabel: "delivery ratio",
 		xs:     sweepRange(0.80, 1.00, 0.04),
 		groups: asymmetricGroups(),
-		specs:  []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()},
+		specs:  paperSpecs(),
 		build: func(x float64, opts RunOptions) (scenario, error) {
 			return asymmetricScenario(0.7, x, opts.scaled(videoIntervals))
 		},
@@ -212,7 +293,7 @@ func Fig9() Figure {
 		title:  "Control network, 99% delivery ratio: deficiency vs arrival rate",
 		xlabel: "lambda*",
 		xs:     sweepRange(0.60, 0.95, 0.05),
-		specs:  []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()},
+		specs:  paperSpecs(),
 		build: func(x float64, opts RunOptions) (scenario, error) {
 			return controlScenario(x, controlRho, opts.scaled(controlIntervals))
 		},
@@ -226,73 +307,74 @@ func Fig10() Figure {
 		title:  "Control network, lambda*=0.78: deficiency vs delivery ratio",
 		xlabel: "delivery ratio",
 		xs:     sweepRange(0.90, 1.00, 0.02),
-		specs:  []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec()},
+		specs:  paperSpecs(),
 		build: func(x float64, opts RunOptions) (scenario, error) {
 			return controlScenario(0.78, x, opts.scaled(controlIntervals))
 		},
 	}
 }
 
-// convergenceFigure regenerates Fig. 5: the cumulative timely-throughput of
-// the link holding the lowest priority at time zero, under DB-DP and LDF,
-// at α* = 0.55 and 93 % delivery ratio.
-type convergenceFigure struct{}
-
-// Fig5 returns the convergence-time comparison.
-func Fig5() Figure { return convergenceFigure{} }
-
-func (convergenceFigure) ID() string { return "fig5" }
-
-func (convergenceFigure) Title() string {
-	return "Convergence: throughput of the initially lowest-priority link (alpha*=0.55, 93% ratio)"
+// convergenceFigure tracks the windowed timely-throughput of the link that
+// holds the lowest priority at time zero, one run per protocol on the video
+// network at α* = 0.55 and 93 % delivery ratio.
+type convergenceFigure struct {
+	id, title string
+	specs     []protocol.Spec
+	ylabel    func(watched int, target float64) string
 }
 
-func (convergenceFigure) Run(opts RunOptions) (*Result, error) {
+// Fig5 returns the convergence-time comparison of DB-DP and LDF.
+func Fig5() Figure {
+	return &convergenceFigure{
+		id:    "fig5",
+		title: "Convergence: throughput of the initially lowest-priority link (alpha*=0.55, 93% ratio)",
+		specs: paperSpecs()[:2],
+		ylabel: func(watched int, target float64) string {
+			return fmt.Sprintf("timely-throughput of link %d over time (target %.3f)", watched, target)
+		},
+	}
+}
+
+func (f *convergenceFigure) ID() string    { return f.id }
+func (f *convergenceFigure) Title() string { return f.title }
+
+func (f *convergenceFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
 	const rho = 0.93
 	intervals := opts.scaled(videoIntervals)
-	// 25 checkpoints: wide enough windows that the windowed throughput of a
-	// single link is not drowned in arrival noise.
-	seriesEvery := intervals / 25
-	if seriesEvery < 1 {
-		seriesEvery = 1
-	}
 	sc, err := videoScenario(0.55, rho, intervals)
 	if err != nil {
 		return nil, err
 	}
-	sc.seriesEvery = seriesEvery
+	// 25 checkpoints: wide enough windows that the windowed throughput of a
+	// single link is not drowned in arrival noise.
+	sc.seriesEvery = max(intervals/25, 1)
 	// With identity initial priorities and link-ID tie-breaking in LDF, the
 	// initially worst-off link is the last one in both policies.
 	watched := videoLinks - 1
-	target := sc.required[watched]
-	specs := []protocolSpec{dbdpSpec(), ldfSpec()}
-	out := &Result{
-		ID:     "fig5",
-		Title:  convergenceFigure{}.Title(),
+	series := make([]Series, len(f.specs))
+	jobs := make([]job, len(f.specs))
+	for i, spec := range f.specs {
+		jobs[i] = job{key: spec.Label, spec: spec, sc: sc, seed: opts.BaseSeed,
+			reduce: func(_ uint64, out runOut) {
+				s := Series{Label: spec.Label}
+				for _, snap := range out.col.Series() {
+					s.X = append(s.X, float64(snap.Intervals))
+					s.Y = append(s.Y, snap.Windowed[watched])
+				}
+				series[i] = s
+			}}
+	}
+	if err := runJobs(figureMeta{id: f.id, title: f.title}, jobs, opts); err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", f.id, err)
+	}
+	return &Result{
+		ID:     f.id,
+		Title:  f.title,
 		XLabel: "interval",
-		YLabel: fmt.Sprintf("timely-throughput of link %d over time (target %.3f)", watched, target),
-	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted("fig5", convergenceFigure{}.Title(), len(specs))
-		defer opts.Tracker.FigureFinished("fig5")
-	}
-	for _, spec := range specs {
-		run, err := runOne(sc, spec, opts.BaseSeed, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment fig5: %w", err)
-		}
-		s := Series{Label: spec.label}
-		for _, snap := range run.col.Series() {
-			s.X = append(s.X, float64(snap.Intervals))
-			s.Y = append(s.Y, snap.Windowed[watched])
-		}
-		out.Series = append(out.Series, s)
-		if opts.Tracker != nil {
-			opts.Tracker.JobCompleted("fig5")
-		}
-	}
-	return out, nil
+		YLabel: f.ylabel(watched, sc.required[watched]),
+		Series: series,
+	}, nil
 }
 
 // priorityProfileFigure regenerates Fig. 6: average timely-throughput per
@@ -308,33 +390,38 @@ func (priorityProfileFigure) Title() string {
 	return "Average timely-throughput per priority index under a fixed ordering (alpha*=0.6)"
 }
 
-func (priorityProfileFigure) Run(opts RunOptions) (*Result, error) {
+func (f priorityProfileFigure) Run(opts RunOptions) (*Result, error) {
 	opts = opts.fill()
 	sc, err := videoScenario(0.60, videoRho, opts.scaled(videoIntervals))
 	if err != nil {
 		return nil, err
 	}
-	if opts.Tracker != nil {
-		opts.Tracker.FigureStarted("fig6", priorityProfileFigure{}.Title(), opts.Seeds)
-		defer opts.Tracker.FigureFinished("fig6")
+	frozen := protocol.PaperDBDP()
+	frozen.Frozen = true
+	spec := protocol.DBDP(frozen)
+	throughput := make([][]float64, opts.Seeds)
+	jobs := make([]job, opts.Seeds)
+	for s := range jobs {
+		jobs[s] = job{key: "frozen", spec: spec, sc: sc, seed: opts.seedFor(s, 0),
+			reduce: func(_ uint64, out runOut) {
+				throughput[s] = make([]float64, videoLinks)
+				for link := range throughput[s] {
+					throughput[s][link] = out.col.Throughput(link)
+				}
+			}}
 	}
+	if err := runJobs(figureMeta{id: f.ID(), title: f.Title()}, jobs, opts); err != nil {
+		return nil, fmt.Errorf("experiment fig6: %w", err)
+	}
+	// Sum in seed order, not completion order: float addition is not
+	// associative, and the figure must not depend on the worker count.
 	sums := make([]float64, videoLinks)
-	for s := 0; s < opts.Seeds; s++ {
-		spec := protocolSpec{label: "DP (frozen)", collisionFree: true, build: func(n int) (mac.Protocol, error) {
-			return core.New(n, core.PaperDebtGlauber(), core.WithFrozenPriorities())
-		}}
-		run, err := runOne(sc, spec, opts.seedFor(s, 0), opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment fig6: %w", err)
-		}
-		// With identity priorities, link n holds priority index n+1.
-		for link := 0; link < videoLinks; link++ {
-			sums[link] += run.col.Throughput(link)
-		}
-		if opts.Tracker != nil {
-			opts.Tracker.JobCompleted("fig6")
+	for _, perLink := range throughput {
+		for link, v := range perLink {
+			sums[link] += v
 		}
 	}
+	// With identity priorities, link n holds priority index n+1.
 	series := Series{Label: "DP (frozen priorities)"}
 	for link := 0; link < videoLinks; link++ {
 		series.X = append(series.X, float64(link+1))
@@ -342,7 +429,7 @@ func (priorityProfileFigure) Run(opts RunOptions) (*Result, error) {
 	}
 	return &Result{
 		ID:     "fig6",
-		Title:  priorityProfileFigure{}.Title(),
+		Title:  f.Title(),
 		XLabel: "priority index (1 = highest)",
 		YLabel: "average timely-throughput (packets/interval)",
 		Series: []Series{series},
@@ -360,7 +447,7 @@ func ExtraBaselines() Figure {
 		title:  "All five policies on the symmetric video network (90% delivery ratio)",
 		xlabel: "alpha*",
 		xs:     sweepRange(0.40, 0.70, 0.05),
-		specs:  []protocolSpec{dbdpSpec(), ldfSpec(), fcsmaSpec(), framecsmaSpec(), dcfSpec()},
+		specs:  append(paperSpecs(), protocol.FrameCSMA(), protocol.DCF()),
 		build: func(x float64, opts RunOptions) (scenario, error) {
 			return videoScenario(x, videoRho, opts.scaled(videoIntervals))
 		},

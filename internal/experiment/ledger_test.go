@@ -18,7 +18,7 @@ func TestLedgerMergeFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dbdpSpec()
+	spec := paperSpecs()[0]
 	opts := RunOptions{}.fill()
 	seeds := []uint64{101, 202, 303}
 
@@ -33,7 +33,7 @@ func TestLedgerMergeFidelity(t *testing.T) {
 			agg.Add(out.replication(seed, out.col.TotalDeficiency()))
 		}
 		rec := ledger.NewRecorder()
-		rec.RecordAggregate("fig3", spec.label, 0.55, "deficiency", ledger.BetterLower, agg)
+		rec.RecordAggregate("fig3", spec.Label, 0.55, "deficiency", ledger.BetterLower, agg)
 		out, err := rec.Finalize("figures", "merge fidelity", nil)
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"rtmac/internal/monitor"
-	"rtmac/internal/telemetry"
 )
 
 // MonitorConfig configures the runtime invariant monitor attached by
@@ -64,19 +63,6 @@ type Monitor struct {
 	rec *monitor.FlightRecorder
 }
 
-// simFanout forwards an event to every sink attached to the simulation at
-// emission time. The monitor uses it as its violation output, so violation
-// events appear on the JSONL stream, the flight recorder, and the Perfetto
-// trace alongside the events that triggered them. The monitor itself is in
-// the fan-out but ignores violation events, so no recursion occurs.
-type simFanout struct{ s *Simulation }
-
-func (f simFanout) Emit(ev telemetry.Event) {
-	for _, sink := range f.s.sinks {
-		sink.Emit(ev)
-	}
-}
-
 // EnableMonitor attaches the runtime invariant monitor to the simulation.
 // Call it before Run; intervals already simulated are not audited. The
 // checker catalog is derived from the configuration: collision-freedom is
@@ -86,24 +72,11 @@ func (f simFanout) Emit(ev telemetry.Event) {
 // surfaced as "violation" events on any attached streams, and — with
 // cfg.Strict — abort Run at the end of the offending interval.
 func (s *Simulation) EnableMonitor(cfg MonitorConfig) (*Monitor, error) {
-	// On a partial conflict graph, collision-freedom is only enforced for
-	// policies that keep the guarantee under spatial reuse (LDF/ELDF, TDMA,
-	// frame-based CSMA); DB-DP's proof is a complete-graph property, and the
-	// airtime checker takes over with the graph-aware overlap rule.
-	collisionFree := s.cfgProt.collisionFree
-	if s.conflicts != nil && !s.conflicts.Complete() && !s.cfgProt.collisionFreeOnGraph {
-		collisionFree = false
-	}
-	m, err := monitor.New(monitor.Config{
-		Links:         len(s.req),
-		Interval:      s.profileInterval,
-		CollisionFree: collisionFree,
-		SwapPairs:     s.cfgProt.swapPairs,
-		Conflicts:     s.conflicts.graph(),
-		Strict:        cfg.Strict,
-		Registry:      s.nw.Telemetry(),
-		Output:        simFanout{s: s},
-	})
+	mcfg := s.cfgProt.spec.Monitor(len(s.req), s.profileInterval, s.conflicts.graph())
+	mcfg.Strict = cfg.Strict
+	mcfg.Registry = s.nw.Telemetry()
+	mcfg.Output = &s.fanout
+	m, err := monitor.New(mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}

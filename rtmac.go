@@ -156,16 +156,23 @@ type Simulation struct {
 	health          *Health
 	slo             *SLOConfig
 	watch           *Watch
-	// sinks holds every attached event consumer (JSONL streams, the runtime
-	// monitor, flight recorder, Perfetto exporter) in attach order; the
-	// network sees them as one fan-out.
-	sinks []telemetry.Sink
+	// fanout holds every attached event consumer (JSONL streams, the runtime
+	// monitor, flight recorder, Perfetto exporter, watch engine, obs plane)
+	// in attach order. It is the network's event sink and the output of
+	// every plane, so violation, alert and stall events reach the same
+	// consumers as the events that triggered them. Planes ignore their own
+	// kinds, so no recursion occurs.
+	fanout telemetry.MultiSink
 }
 
-// addSink attaches one more event consumer, rebuilding the network's fan-out.
+// addSink attaches one more event consumer to the fan-out. The network sees
+// the fan-out only once something is attached, keeping event construction
+// off the hot path until then.
 func (s *Simulation) addSink(sink telemetry.Sink) {
-	s.sinks = append(s.sinks, sink)
-	s.nw.SetEventSink(telemetry.MultiSink(append([]telemetry.Sink(nil), s.sinks...)))
+	if len(s.fanout) == 0 {
+		s.nw.SetEventSink(&s.fanout)
+	}
+	s.fanout = append(s.fanout, sink)
 }
 
 // NewSimulation validates cfg and builds the network.
@@ -173,7 +180,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if len(cfg.Links) == 0 {
 		return nil, fmt.Errorf("rtmac: no links configured")
 	}
-	if cfg.Protocol.build == nil {
+	if cfg.Protocol.spec.Build == nil {
 		return nil, fmt.Errorf("rtmac: no protocol configured")
 	}
 	if cfg.Profile.p.Name == "" {
@@ -218,7 +225,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
-	prot, err := cfg.Protocol.build(n)
+	prot, err := cfg.Protocol.spec.Build(n)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}

@@ -86,6 +86,9 @@ func TestAllProtocols(t *testing.T) {
 		if err := sim.Run(intervals); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if cfg.Protocol.Label() == "" {
+			t.Errorf("%s: empty label", name)
+		}
 	}
 }
 
@@ -115,6 +118,10 @@ func TestProtocolOptions(t *testing.T) {
 	doc.Protocol = ProtocolSpec{Name: "dbdp", Frozen: true}
 	if _, _, err := Build(doc); err != nil {
 		t.Fatal(err)
+	}
+	doc.Protocol = ProtocolSpec{Name: "dbdp", Pairs: 3}
+	if _, _, err := Build(doc); err != nil {
+		t.Fatalf("multi-pair dbdp rejected: %v", err)
 	}
 }
 
@@ -173,6 +180,7 @@ func TestRejections(t *testing.T) {
 		{"bad preset", func(d *Document) { d.Profile = ProfileSpec{Preset: "lte"} }},
 		{"bad protocol", func(d *Document) { d.Protocol.Name = "aloha" }},
 		{"bad arrivals", func(d *Document) { d.Links[0].Arrivals.Type = "poisson" }},
+		{"bad rate", func(d *Document) { d.Links[0].Arrivals = ArrivalsSpec{Type: "bernoulli", Param: 2} }},
 		{"bad influence", func(d *Document) { d.Protocol = ProtocolSpec{Name: "eldf", Influence: "exp"} }},
 		{"zero count", func(d *Document) { d.Links[0].Count = 0 }},
 	}

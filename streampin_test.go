@@ -73,14 +73,14 @@ func pinStream(t *testing.T, cfg Config) (string, map[string]int) {
 		pinProbe{},
 	}
 	mon, err := monitor.New(monitor.Config{
-		Links: n, Interval: s.profileInterval, Checkers: checkers, Output: simFanout{s: s},
+		Links: n, Interval: s.profileInterval, Checkers: checkers, Output: &s.fanout,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.addSink(mon)
 	eng, err := watch.New(watch.Config{
-		Links: n, Required: s.req, SpikeWarmup: 100, Output: simFanout{s: s},
+		Links: n, Required: s.req, SpikeWarmup: 100, Output: &s.fanout,
 	})
 	if err != nil {
 		t.Fatal(err)

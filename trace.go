@@ -14,8 +14,9 @@ type Trace struct {
 }
 
 // EnableTrace starts recording the simulation's transmissions into a ring
-// buffer holding the most recent capacity records. Call before Run; only
-// one trace can be active per simulation (a second call replaces the first).
+// buffer holding the most recent capacity records. Call before Run. Each
+// call attaches one more recorder: an earlier one is not detached and keeps
+// recording alongside.
 func (s *Simulation) EnableTrace(capacity int) (*Trace, error) {
 	rec, err := trace.NewRecorder(capacity)
 	if err != nil {

@@ -121,7 +121,7 @@ func (s *Simulation) EnableWatch(cfg WatchConfig) (*Watch, error) {
 		Required: targets,
 		Budget:   budget,
 		Registry: s.nw.Telemetry(),
-		Output:   simFanout{s: s},
+		Output:   &s.fanout,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
