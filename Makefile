@@ -136,15 +136,20 @@ journeys-smoke:
 # the merge to carry byte-identical statistics versus the combined run — the
 # ledger's core fidelity promise. The combined-vs-merged diff must exit 0
 # (they are the same statistics), and a deliberately degraded rtmacsim run
-# (-p 0.45 against a 0.7 baseline) must trip the sentinel non-zero.
+# (-p 0.45 against a 0.7 baseline) must trip the sentinel non-zero. `equal`
+# must also fail on the seed-101 record versus the two-seed record, with exit
+# code 1 exactly (2 is a usage or I/O error); `go run` flattens exit codes to
+# 1, so that check runs a built ledgerctl.
 ledger-smoke:
 	rm -rf /tmp/rtmac-ledger
+	$(GO) build -o /tmp/rtmac-ledgerctl ./cmd/ledgerctl
 	$(GO) run ./cmd/figures -fig fig3 -scale 0.02 -quiet -seedlist 101 -ledger /tmp/rtmac-ledger >/dev/null
 	$(GO) run ./cmd/figures -fig fig3 -scale 0.02 -quiet -seedlist 202 -ledger /tmp/rtmac-ledger >/dev/null
 	$(GO) run ./cmd/figures -fig fig3 -scale 0.02 -quiet -seedlist 101,202 -ledger /tmp/rtmac-ledger >/dev/null
 	$(GO) run ./cmd/ledgerctl -dir /tmp/rtmac-ledger list
 	$(GO) run ./cmd/ledgerctl -dir /tmp/rtmac-ledger merge latest~2 latest~1
 	$(GO) run ./cmd/ledgerctl -dir /tmp/rtmac-ledger equal latest latest~1
+	/tmp/rtmac-ledgerctl -dir /tmp/rtmac-ledger equal latest~3 latest~1; test $$? -eq 1
 	$(GO) run ./cmd/ledgerctl -dir /tmp/rtmac-ledger diff latest~1 latest
 	$(GO) run ./cmd/rtmacsim -protocol dbdp -intervals 1000 -seed 7 -ledger /tmp/rtmac-ledger >/dev/null
 	$(GO) run ./cmd/rtmacsim -protocol dbdp -intervals 1000 -seed 7 -p 0.45 -ledger /tmp/rtmac-ledger >/dev/null
@@ -233,6 +238,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzEventJSON -fuzztime=30s -fuzzminimizetime=5s ./internal/telemetry
+	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/ledger
 
 cover:
 	$(GO) test -cover ./...

@@ -21,8 +21,10 @@
 // records carry replication-multiset partials, the merge is exactly the
 // record a single process running all the seeds would have produced.
 //
-// equal exits non-zero unless the two records (or sets) carry byte-identical
-// point statistics — the merge-fidelity assertion used by `make ledger-smoke`.
+// equal exits 1 unless the two records (or sets) carry byte-identical point
+// statistics: the canonical JSON of each point's partial, the bytes the
+// record ID hashes. It is the merge-fidelity assertion used by
+// `make ledger-smoke`.
 //
 // diff is the regression sentinel: it compares every matching point with
 // Welch's t-test at the chosen confidence (falling back to a relative-delta
@@ -213,7 +215,7 @@ func runShow(store *ledger.Store, args []string) error {
 	fmt.Fprintln(tw, "FIGURE\tSERIES\tX\tMETRIC\tN\tMEAN\t±CI95\tP50\tP95\tP99")
 	for _, p := range rec.Points {
 		d50, d95, d99 := "-", "-", "-"
-		if p.Summary.DelayN > 0 {
+		if p.Summary.DelayCount > 0 {
 			d50 = fmt.Sprintf("%.0f", p.Summary.DelayP50)
 			d95 = fmt.Sprintf("%.0f", p.Summary.DelayP95)
 			d99 = fmt.Sprintf("%.0f", p.Summary.DelayP99)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"testing"
 
 	"rtmac/internal/ledger"
@@ -78,11 +79,11 @@ func TestLedgerMergeFidelity(t *testing.T) {
 	if mp.Summary != cp.Summary {
 		t.Fatalf("merged summary %+v != in-process summary %+v", mp.Summary, cp.Summary)
 	}
-	a, err := stats.EncodeRecord(mp.Agg)
+	a, err := json.Marshal(mp.Agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := stats.EncodeRecord(cp.Agg)
+	b, err := json.Marshal(cp.Agg)
 	if err != nil {
 		t.Fatal(err)
 	}

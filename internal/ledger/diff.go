@@ -213,7 +213,7 @@ func comparePoint(op, np Point, opts DiffOptions) (PointVerdict, error) {
 	}
 
 	// Delay-quantile deltas: lower is always better for delays.
-	if oldSum.DelayN > 0 && newSum.DelayN > 0 {
+	if oldSum.DelayCount > 0 && newSum.DelayCount > 0 {
 		type q struct {
 			name     string
 			old, new float64

@@ -93,16 +93,7 @@ type Point struct {
 
 // Summary is the display snapshot of one point, recomputed from the partial
 // whenever records merge.
-type Summary struct {
-	N        int64   `json:"n"`
-	Mean     float64 `json:"mean"`
-	StdErr   float64 `json:"stderr"`
-	CIHalf   float64 `json:"ci95_half"`
-	DelayP50 float64 `json:"delay_p50,omitempty"`
-	DelayP95 float64 `json:"delay_p95,omitempty"`
-	DelayP99 float64 `json:"delay_p99,omitempty"`
-	DelayN   int64   `json:"delay_count,omitempty"`
-}
+type Summary = stats.PointSummary
 
 // summaryLevel is the confidence level point summaries are computed at.
 const summaryLevel = 0.95
@@ -113,17 +104,7 @@ func Summarize(st stats.PointState) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	ps := agg.Summary(summaryLevel)
-	return Summary{
-		N:        ps.N,
-		Mean:     ps.Mean,
-		StdErr:   ps.StdErr,
-		CIHalf:   ps.CIHalf,
-		DelayP50: ps.DelayP50,
-		DelayP95: ps.DelayP95,
-		DelayP99: ps.DelayP99,
-		DelayN:   ps.DelayCount,
-	}, nil
+	return agg.Summary(summaryLevel), nil
 }
 
 // Key identifies a point for matching across records.

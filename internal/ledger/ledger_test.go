@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -180,16 +182,94 @@ func TestMergeMatchesSingleProcess(t *testing.T) {
 		if p.Summary != q.Summary {
 			t.Fatalf("point %s: merged summary %+v != combined %+v", p.Key(), p.Summary, q.Summary)
 		}
-		a, err := stats.EncodeRecord(p.Agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := stats.EncodeRecord(q.Agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(aggJSON(t, p), aggJSON(t, q)) {
 			t.Fatalf("point %s: merged partial differs from combined partial", p.Key())
+		}
+	}
+}
+
+// aggJSON is the canonical JSON of a point's partial: the bytes Encode
+// hashes into the record ID and Equivalent compares.
+func aggJSON(t *testing.T, p Point) []byte {
+	t.Helper()
+	data, err := json.Marshal(p.Agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestPointStateMergeExact is the exactness pin for `ledgerctl merge`:
+// however the replication multiset is split into per-shard records, each
+// round-tripped through its on-disk bytes, and whatever order the records
+// are merged in, every point's partial and summary are identical, bit for
+// bit, to the record one recorder holding all replications produces.
+func TestPointStateMergeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	reps := make([]stats.Replication, 24)
+	for i := range reps {
+		reps[i] = stats.Replication{
+			Seed:       rng.Uint64() % 1000,
+			Value:      rng.Float64() * 5,
+			DelayP50:   rng.Float64() * 100,
+			DelayP95:   rng.Float64() * 500,
+			DelayP99:   rng.Float64() * 900,
+			DelayCount: rng.Int63n(10000),
+		}
+	}
+	record := func(reps []stats.Replication) *Record {
+		agg := &stats.PointAggregate{}
+		for _, r := range reps {
+			agg.Add(r)
+		}
+		rec := NewRecorder()
+		rec.RecordAggregate("fig3", "DB-DP", 0.5, "deficiency", BetterLower, agg)
+		out, err := rec.Finalize("figures", "shard", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	whole := record(reps).Points[0]
+
+	splits := [][]int{
+		{24},         // one shard
+		{1, 23},      // singleton first
+		{8, 8, 8},    // even thirds
+		{23, 1},      // singleton last
+		{5, 7, 3, 9}, // ragged
+	}
+	for si, sizes := range splits {
+		// One record per shard, round-tripped through its canonical bytes,
+		// then merged in reverse order to stress order-independence.
+		var shards []*Record
+		at := 0
+		for _, size := range sizes {
+			data, err := record(reps[at : at+size]).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			at += size
+			back, err := DecodeRecord(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards = append([]*Record{back}, shards...)
+		}
+		merged, err := Merge(shards, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(merged.Points) != 1 {
+			t.Fatalf("split %d: merged record has %d points", si, len(merged.Points))
+		}
+		got := merged.Points[0]
+		if !bytes.Equal(aggJSON(t, got), aggJSON(t, whole)) {
+			t.Fatalf("split %d: merged partial differs from single-recorder partial", si)
+		}
+		if got.Summary != whole.Summary {
+			t.Fatalf("split %d: merged summary %+v != single-recorder summary %+v",
+				si, got.Summary, whole.Summary)
 		}
 	}
 }
@@ -388,6 +468,28 @@ func TestEquivalent(t *testing.T) {
 	extra := testRecord(t, []uint64{1, 2, 3}, 0.2)
 	if err := Equivalent(a, extra); err == nil {
 		t.Error("extra-seed record reported equivalent")
+	}
+
+	// One ulp in one delay quantile, or the sign of a zero headline value,
+	// is a different record.
+	ulp := testRecord(t, []uint64{1, 2}, 0.2)
+	r := &ulp.Points[0].Agg.Reps[0]
+	r.DelayP95 = math.Nextafter(r.DelayP95, math.Inf(1))
+	if err := Equivalent(a, ulp); err == nil {
+		t.Error("records one ulp apart in DelayP95 reported equivalent")
+	}
+	zero := func(v float64) *Record {
+		rec := NewRecorder()
+		rec.RecordReplication("run", "DB-DP", 0, "deficiency", BetterLower,
+			stats.Replication{Seed: 1, Value: v}, nil)
+		out, err := rec.Finalize("run", "run", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if err := Equivalent(zero(0), zero(math.Copysign(0, -1))); err == nil {
+		t.Error("records with Value 0 and -0 reported equivalent")
 	}
 }
 

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -114,10 +115,13 @@ func dedupeReps(reps []stats.Replication) []stats.Replication {
 
 // Equivalent reports whether two records carry statistically identical
 // points: the same point keys, directions, and byte-identical replication
-// partials (which implies identical summaries). It is the exactness check
-// behind `ledgerctl equal` — a merge of per-seed records is Equivalent to
-// the record one combined run of the same seeds produces. Manifests, kinds
-// and merge provenance are deliberately ignored; only the statistics count.
+// partials (which implies identical summaries). Partials are compared as
+// their canonical JSON, the bytes Encode hashes into the record ID, so
+// Equivalent never separates two partials the ID cannot tell apart. It is
+// the exactness check behind `ledgerctl equal` — a merge of per-seed records
+// is Equivalent to the record one combined run of the same seeds produces.
+// Manifests, kinds and merge provenance are deliberately ignored; only the
+// statistics count.
 func Equivalent(a, b *Record) error {
 	byKey := make(map[string]Point, len(a.Points))
 	for _, p := range a.Points {
@@ -134,11 +138,11 @@ func Equivalent(a, b *Record) error {
 		if p.Better != q.Better {
 			return fmt.Errorf("point %s: direction %q vs %q", q.Key(), p.Better, q.Better)
 		}
-		pa, err := stats.EncodeRecord(p.Agg)
+		pa, err := json.Marshal(p.Agg)
 		if err != nil {
 			return fmt.Errorf("point %s: %w", q.Key(), err)
 		}
-		qa, err := stats.EncodeRecord(q.Agg)
+		qa, err := json.Marshal(q.Agg)
 		if err != nil {
 			return fmt.Errorf("point %s: %w", q.Key(), err)
 		}

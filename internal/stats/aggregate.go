@@ -2,24 +2,6 @@ package stats
 
 import "sort"
 
-// Merge folds another accumulator into this one (Chan et al.'s parallel
-// Welford update), so per-worker accumulators can be combined into one
-// fleet-wide estimate.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.mean += delta * float64(b.n) / float64(n)
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.n = n
-}
-
 // Replication is one seeded run's contribution to a curve point: the headline
 // metric (deficiency for the paper's sweeps) plus the delivery-delay summary
 // reduced from that run's quantile sketch. Seed tags the replication so
@@ -37,10 +19,11 @@ type Replication struct {
 	DelayCount int64 `json:"delay_count,omitempty"`
 }
 
-// PointAggregate merges replications of one curve point across seeds — and,
-// via Merge, across whole runs or machines. Aggregation is a multiset union:
-// summaries are computed over the replications sorted by seed, so the result
-// is independent of both worker completion order and merge order.
+// PointAggregate collects the replications of one curve point across seeds.
+// Aggregation is a multiset union: summaries are computed over the
+// replications sorted by seed, so the result is independent of worker
+// completion order — and, once serialized as a PointState, of the order in
+// which the run ledger merges records.
 type PointAggregate struct {
 	reps []Replication
 }
@@ -48,28 +31,27 @@ type PointAggregate struct {
 // Add records one replication.
 func (a *PointAggregate) Add(r Replication) { a.reps = append(a.reps, r) }
 
-// Merge folds another aggregate's replications into this one. Merging is
-// commutative and associative: the summary depends only on the union of
-// replications.
-func (a *PointAggregate) Merge(b *PointAggregate) {
-	a.reps = append(a.reps, b.reps...)
-}
-
 // Count returns the number of replications aggregated.
 func (a *PointAggregate) Count() int { return len(a.reps) }
 
-// PointSummary is the fleet statistic of one curve point.
+// PointSummary is the fleet statistic of one curve point. Its JSON form is
+// the display summary the run ledger stores beside each point's partial,
+// computed at 95% confidence (hence ci95_half).
 type PointSummary struct {
 	// N is the number of replications.
-	N int64
+	N int64 `json:"n"`
 	// Mean, StdErr and CIHalf describe the headline metric: CIHalf is the
 	// half-width of the normal-approximation confidence interval at the
 	// level Summary was asked for.
-	Mean, StdErr, CIHalf float64
+	Mean   float64 `json:"mean"`
+	StdErr float64 `json:"stderr"`
+	CIHalf float64 `json:"ci95_half"`
 	// DelayP50/P95/P99 average each replication's delay quantile across
 	// seeds (µs); DelayCount totals the deliveries behind them.
-	DelayP50, DelayP95, DelayP99 float64
-	DelayCount                   int64
+	DelayP50   float64 `json:"delay_p50,omitempty"`
+	DelayP95   float64 `json:"delay_p95,omitempty"`
+	DelayP99   float64 `json:"delay_p99,omitempty"`
+	DelayCount int64   `json:"delay_count,omitempty"`
 }
 
 // Summary reduces the aggregate at the given confidence level (e.g. 0.95).

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -17,31 +15,10 @@ import (
 // whose summary folds replications in seed order, so merge order never leaks
 // into the result.
 //
-// Every state has two encodings with the same version discipline:
-//
-//   - JSON, via the exported state structs (stable field order, floats in
-//     Go's shortest-round-trip form, so decode∘encode is byte-stable);
-//   - a binary "record" (EncodeRecord/DecodeRecord): a RTSP magic, a codec
-//     version, a kind tag and a fixed little-endian payload, byte-stable by
-//     construction.
-//
-// CodecVersion is bumped when a payload layout changes; decoders reject
-// versions they do not understand rather than guessing.
-
-// CodecVersion is the current version of both the binary record layout and
-// the JSON state schema.
-const CodecVersion = 1
-
-// recordMagic prefixes every binary record.
-var recordMagic = [4]byte{'R', 'T', 'S', 'P'}
-
-// Binary record kind tags.
-const (
-	kindAccumulator = 1
-	kindP2          = 2
-	kindSketch      = 3
-	kindPoint       = 4
-)
+// Each state has one encoding: JSON, via the exported state structs. Field
+// order is fixed and floats use Go's shortest-round-trip form, so
+// decode∘encode is byte-stable and equal states always produce equal bytes.
+// The *FromState functions validate a decoded state before restoring it.
 
 // AccumulatorState is the serialized form of an Accumulator: the exact
 // Welford triple. Restoring it and continuing to Add is equivalent to never
@@ -264,366 +241,3 @@ func PointFromState(st PointState) (*PointAggregate, error) {
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// EncodeRecord renders one state (AccumulatorState, P2State, SketchState or
-// PointState) as a self-describing binary record. The layout is fixed and
-// little-endian, so equal states always produce equal bytes.
-func EncodeRecord(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(recordMagic[:])
-	buf.WriteByte(CodecVersion)
-	switch st := v.(type) {
-	case AccumulatorState:
-		buf.WriteByte(kindAccumulator)
-		putAccumulator(&buf, st)
-	case P2State:
-		buf.WriteByte(kindP2)
-		if err := putP2(&buf, st); err != nil {
-			return nil, err
-		}
-	case SketchState:
-		buf.WriteByte(kindSketch)
-		if len(st.Quantiles) > math.MaxUint16 || len(st.Estimators) > math.MaxUint16 {
-			return nil, fmt.Errorf("stats: sketch state too large to encode")
-		}
-		putU16(&buf, uint16(len(st.Quantiles)))
-		for _, q := range st.Quantiles {
-			putF64(&buf, q)
-		}
-		putU16(&buf, uint16(len(st.Estimators)))
-		for _, es := range st.Estimators {
-			if err := putP2(&buf, es); err != nil {
-				return nil, err
-			}
-		}
-		putAccumulator(&buf, st.Acc)
-		putF64(&buf, st.Min)
-		putF64(&buf, st.Max)
-	case PointState:
-		buf.WriteByte(kindPoint)
-		if len(st.Reps) > math.MaxUint32 {
-			return nil, fmt.Errorf("stats: point state too large to encode")
-		}
-		putU32(&buf, uint32(len(st.Reps)))
-		for _, r := range st.Reps {
-			putU64(&buf, r.Seed)
-			putF64(&buf, r.Value)
-			putF64(&buf, r.DelayP50)
-			putF64(&buf, r.DelayP95)
-			putF64(&buf, r.DelayP99)
-			putI64(&buf, r.DelayCount)
-		}
-	default:
-		return nil, fmt.Errorf("stats: cannot encode %T as a record", v)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRecord parses a binary record produced by EncodeRecord, returning one
-// of the state types. The whole input must be consumed; trailing bytes are an
-// error. Decoded states are validated through the same FromState paths the
-// JSON schema uses, so a record that decodes is always restorable.
-func DecodeRecord(data []byte) (any, error) {
-	rd := &reader{data: data}
-	var magic [4]byte
-	if err := rd.bytes(magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != recordMagic {
-		return nil, fmt.Errorf("stats: bad record magic %q", magic[:])
-	}
-	version, err := rd.byte()
-	if err != nil {
-		return nil, err
-	}
-	if version != CodecVersion {
-		return nil, fmt.Errorf("stats: unsupported codec version %d (have %d)", version, CodecVersion)
-	}
-	kind, err := rd.byte()
-	if err != nil {
-		return nil, err
-	}
-	var out any
-	switch kind {
-	case kindAccumulator:
-		st, err := rd.accumulator()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := AccumulatorFromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	case kindP2:
-		st, err := rd.p2()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := P2FromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	case kindSketch:
-		nq, err := rd.u16()
-		if err != nil {
-			return nil, err
-		}
-		st := SketchState{Quantiles: make([]float64, 0, int(nq))}
-		for i := 0; i < int(nq); i++ {
-			q, err := rd.f64()
-			if err != nil {
-				return nil, err
-			}
-			st.Quantiles = append(st.Quantiles, q)
-		}
-		ne, err := rd.u16()
-		if err != nil {
-			return nil, err
-		}
-		st.Estimators = make([]P2State, 0, int(ne))
-		for i := 0; i < int(ne); i++ {
-			es, err := rd.p2()
-			if err != nil {
-				return nil, err
-			}
-			st.Estimators = append(st.Estimators, es)
-		}
-		if st.Acc, err = rd.accumulator(); err != nil {
-			return nil, err
-		}
-		if st.Min, err = rd.f64(); err != nil {
-			return nil, err
-		}
-		if st.Max, err = rd.f64(); err != nil {
-			return nil, err
-		}
-		if _, err := SketchFromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	case kindPoint:
-		n, err := rd.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > rd.remaining()/48 { // each replication is 48 bytes
-			return nil, fmt.Errorf("stats: point record claims %d replications in %d bytes", n, rd.remaining())
-		}
-		st := PointState{Reps: make([]Replication, 0, int(n))}
-		for i := 0; i < int(n); i++ {
-			var r Replication
-			if r.Seed, err = rd.u64(); err != nil {
-				return nil, err
-			}
-			if r.Value, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayP50, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayP95, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayP99, err = rd.f64(); err != nil {
-				return nil, err
-			}
-			if r.DelayCount, err = rd.i64(); err != nil {
-				return nil, err
-			}
-			st.Reps = append(st.Reps, r)
-		}
-		if _, err := PointFromState(st); err != nil {
-			return nil, err
-		}
-		out = st
-	default:
-		return nil, fmt.Errorf("stats: unknown record kind %d", kind)
-	}
-	if rd.remaining() != 0 {
-		return nil, fmt.Errorf("stats: %d trailing bytes after record", rd.remaining())
-	}
-	return out, nil
-}
-
-func putAccumulator(buf *bytes.Buffer, st AccumulatorState) {
-	putI64(buf, st.N)
-	putF64(buf, st.Mean)
-	putF64(buf, st.M2)
-}
-
-func putP2(buf *bytes.Buffer, st P2State) error {
-	putF64(buf, st.P)
-	putI64(buf, st.Count)
-	if st.Buf != nil || st.Count < 5 {
-		if len(st.Buf) > 4 {
-			return fmt.Errorf("stats: p2 warm-up buffer of %d values", len(st.Buf))
-		}
-		buf.WriteByte(0) // buffering
-		buf.WriteByte(byte(len(st.Buf)))
-		for _, x := range st.Buf {
-			putF64(buf, x)
-		}
-		return nil
-	}
-	if len(st.Q) != 5 || len(st.N) != 5 || len(st.NP) != 5 {
-		return fmt.Errorf("stats: p2 state wants 5 markers, got q=%d n=%d np=%d",
-			len(st.Q), len(st.N), len(st.NP))
-	}
-	buf.WriteByte(1) // markers initialized
-	for _, x := range st.Q {
-		putF64(buf, x)
-	}
-	for _, x := range st.N {
-		putF64(buf, x)
-	}
-	for _, x := range st.NP {
-		putF64(buf, x)
-	}
-	return nil
-}
-
-func (rd *reader) accumulator() (AccumulatorState, error) {
-	var st AccumulatorState
-	var err error
-	if st.N, err = rd.i64(); err != nil {
-		return st, err
-	}
-	if st.Mean, err = rd.f64(); err != nil {
-		return st, err
-	}
-	st.M2, err = rd.f64()
-	return st, err
-}
-
-func (rd *reader) p2() (P2State, error) {
-	var st P2State
-	var err error
-	if st.P, err = rd.f64(); err != nil {
-		return st, err
-	}
-	if st.Count, err = rd.i64(); err != nil {
-		return st, err
-	}
-	mode, err := rd.byte()
-	if err != nil {
-		return st, err
-	}
-	switch mode {
-	case 0:
-		n, err := rd.byte()
-		if err != nil {
-			return st, err
-		}
-		if n > 4 {
-			return st, fmt.Errorf("stats: p2 warm-up buffer of %d values", n)
-		}
-		st.Buf = make([]float64, 0, int(n))
-		for i := 0; i < int(n); i++ {
-			x, err := rd.f64()
-			if err != nil {
-				return st, err
-			}
-			st.Buf = append(st.Buf, x)
-		}
-		if st.Buf == nil {
-			st.Buf = []float64{}
-		}
-	case 1:
-		for _, dst := range []*[]float64{&st.Q, &st.N, &st.NP} {
-			*dst = make([]float64, 5)
-			for i := range *dst {
-				if (*dst)[i], err = rd.f64(); err != nil {
-					return st, err
-				}
-			}
-		}
-	default:
-		return st, fmt.Errorf("stats: unknown p2 mode byte %d", mode)
-	}
-	return st, nil
-}
-
-// reader is a bounds-checked little-endian cursor over a record.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (rd *reader) remaining() int { return len(rd.data) - rd.off }
-
-func (rd *reader) bytes(dst []byte) error {
-	if rd.remaining() < len(dst) {
-		return fmt.Errorf("stats: truncated record")
-	}
-	copy(dst, rd.data[rd.off:])
-	rd.off += len(dst)
-	return nil
-}
-
-func (rd *reader) byte() (byte, error) {
-	if rd.remaining() < 1 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	b := rd.data[rd.off]
-	rd.off++
-	return b, nil
-}
-
-func (rd *reader) u16() (uint16, error) {
-	if rd.remaining() < 2 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	v := binary.LittleEndian.Uint16(rd.data[rd.off:])
-	rd.off += 2
-	return v, nil
-}
-
-func (rd *reader) u32() (uint32, error) {
-	if rd.remaining() < 4 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	v := binary.LittleEndian.Uint32(rd.data[rd.off:])
-	rd.off += 4
-	return v, nil
-}
-
-func (rd *reader) u64() (uint64, error) {
-	if rd.remaining() < 8 {
-		return 0, fmt.Errorf("stats: truncated record")
-	}
-	v := binary.LittleEndian.Uint64(rd.data[rd.off:])
-	rd.off += 8
-	return v, nil
-}
-
-func (rd *reader) i64() (int64, error) {
-	v, err := rd.u64()
-	return int64(v), err
-}
-
-func (rd *reader) f64() (float64, error) {
-	v, err := rd.u64()
-	return math.Float64frombits(v), err
-}
-
-func putU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func putU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func putU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func putI64(buf *bytes.Buffer, v int64) { putU64(buf, uint64(v)) }
-
-func putF64(buf *bytes.Buffer, v float64) { putU64(buf, math.Float64bits(v)) }

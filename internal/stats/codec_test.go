@@ -190,221 +190,86 @@ func mustP2State(t *testing.T, p float64, n int, rng *rand.Rand) P2State {
 	return est.State()
 }
 
-// TestBinaryRecordRoundTrip checks decode(encode(s)) == s and that encoding
-// the decoded value reproduces the bytes, for every kind and size regime.
-func TestBinaryRecordRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	states := []any{
-		randAccumulator(rng, 0).State(),
-		randAccumulator(rng, 64).State(),
-		mustP2State(t, 0.95, 0, rng),
-		mustP2State(t, 0.95, 4, rng),
-		mustP2State(t, 0.95, 333, rng),
-		randSketch(t, rng, 0).State(),
-		randSketch(t, rng, 100).State(),
-		randPoint(rng, 0).State(),
-		randPoint(rng, 25).State(),
+// TestFromStateRejects checks that each restore path refuses states no
+// genuine stream can produce, so a tampered or truncated record on disk is
+// rejected instead of restored.
+func TestFromStateRejects(t *testing.T) {
+	warm := P2State{P: 0.5, Count: 2, Buf: []float64{1, 2}}
+	markers := func(mut func(*P2State)) P2State {
+		st := P2State{P: 0.5, Count: 6,
+			Q: []float64{1, 2, 3, 4, 5}, N: []float64{1, 2, 3, 4, 6}, NP: []float64{1, 2, 3, 4, 6}}
+		mut(&st)
+		return st
 	}
-	for i, st := range states {
-		data, err := EncodeRecord(st)
-		if err != nil {
-			t.Fatalf("state %d (%T): encode: %v", i, st, err)
-		}
-		back, err := DecodeRecord(data)
-		if err != nil {
-			t.Fatalf("state %d (%T): decode: %v", i, st, err)
-		}
-		again, err := EncodeRecord(back)
-		if err != nil {
-			t.Fatalf("state %d (%T): re-encode: %v", i, st, err)
-		}
-		if !bytes.Equal(data, again) {
-			t.Fatalf("state %d (%T): binary record not byte-stable", i, st)
+	accumulators := map[string]AccumulatorState{
+		"negative count":     {N: -1},
+		"non-finite mean":    {N: 1, Mean: math.Inf(1)},
+		"non-finite M2":      {N: 2, M2: math.NaN()},
+		"negative M2":        {N: 2, M2: -1},
+		"empty with moments": {N: 0, Mean: 1},
+	}
+	for name, st := range accumulators {
+		if _, err := AccumulatorFromState(st); err == nil {
+			t.Errorf("accumulator %s: accepted", name)
 		}
 	}
-}
-
-// TestDecodeRecordRejects checks the decoder's guard rails.
-func TestDecodeRecordRejects(t *testing.T) {
-	good, err := EncodeRecord(AccumulatorState{N: 2, Mean: 1, M2: 0.5})
-	if err != nil {
-		t.Fatal(err)
+	p2s := map[string]P2State{
+		"bad quantile":         {P: 1.5, Count: 0, Buf: []float64{}},
+		"negative count":       {P: 0.5, Count: -1},
+		"buffer too long":      {P: 0.5, Count: 5, Buf: []float64{1, 2, 3, 4, 5}},
+		"buffer length":        {P: 0.5, Count: 3, Buf: []float64{1, 2}},
+		"buffer and markers":   {P: 0.5, Count: 2, Buf: warm.Buf, Q: []float64{1}},
+		"non-finite buffer":    {P: 0.5, Count: 1, Buf: []float64{math.Inf(-1)}},
+		"unsorted buffer":      {P: 0.5, Count: 2, Buf: []float64{2, 1}},
+		"short markers":        markers(func(st *P2State) { st.Q = st.Q[:4] }),
+		"non-finite marker":    markers(func(st *P2State) { st.NP[2] = math.NaN() }),
+		"unsorted heights":     markers(func(st *P2State) { st.Q[3] = 0 }),
+		"positions decreasing": markers(func(st *P2State) { st.N[2] = 2 }),
+		"first position":       markers(func(st *P2State) { st.N[0] = 0 }),
+		"last position":        markers(func(st *P2State) { st.N[4] = 7 }),
 	}
-	cases := map[string][]byte{
-		"empty":           {},
-		"bad magic":       append([]byte("NOPE"), good[4:]...),
-		"bad version":     append(append([]byte{}, good[:4]...), append([]byte{99}, good[5:]...)...),
-		"bad kind":        append(append([]byte{}, good[:5]...), append([]byte{77}, good[6:]...)...),
-		"truncated":       good[:len(good)-3],
-		"trailing":        append(append([]byte{}, good...), 0),
-		"negative count":  mustEncodeRaw(t, AccumulatorState{N: -1}),
-		"nonfinite":       mustEncodeRaw(t, AccumulatorState{N: 1, Mean: math.Inf(1)}),
-		"huge point":      {0x52, 0x54, 0x53, 0x50, 1, 4, 0xff, 0xff, 0xff, 0xff},
-		"bad p2 quantile": mustEncodeRaw(t, P2State{P: 1.5, Count: 0, Buf: []float64{}}),
-	}
-	for name, data := range cases {
-		if _, err := DecodeRecord(data); err == nil {
-			t.Errorf("%s: decode accepted invalid record", name)
+	for name, st := range p2s {
+		if _, err := P2FromState(st); err == nil {
+			t.Errorf("p2 %s: accepted", name)
 		}
 	}
-}
-
-// mustEncodeRaw builds the record bytes without the FromState validation, to
-// prove the DECODER rejects them.
-func mustEncodeRaw(t *testing.T, v any) []byte {
-	t.Helper()
-	data, err := EncodeRecord(v)
-	if err != nil {
-		t.Fatalf("raw encode: %v", err)
+	if _, err := P2FromState(warm); err != nil {
+		t.Fatalf("valid warm-up state rejected: %v", err)
 	}
-	return data
-}
-
-// TestAccumulatorMergeMatchesSingleStream checks Chan et al. pairwise merge
-// against one accumulator that saw everything, within float tolerance.
-func TestAccumulatorMergeMatchesSingleStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var whole Accumulator
-	parts := make([]*Accumulator, 4)
-	for i := range parts {
-		parts[i] = &Accumulator{}
+	if _, err := P2FromState(markers(func(*P2State) {})); err != nil {
+		t.Fatalf("valid marker state rejected: %v", err)
 	}
-	for i := 0; i < 4000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		whole.Add(x)
-		parts[i%4].Add(x)
+	sketch := func(mut func(*SketchState)) SketchState {
+		st := SketchState{Quantiles: []float64{0.5}, Estimators: []P2State{warm},
+			Acc: AccumulatorState{N: 2, Mean: 1.5, M2: 0.5}, Min: 1, Max: 2}
+		mut(&st)
+		return st
 	}
-	var merged Accumulator
-	for _, p := range parts {
-		merged.Merge(p)
+	sketches := map[string]SketchState{
+		"estimator count":   sketch(func(st *SketchState) { st.Estimators = nil }),
+		"bad accumulator":   sketch(func(st *SketchState) { st.Acc.N = -1 }),
+		"estimator target":  sketch(func(st *SketchState) { st.Estimators[0].P = 0.9 }),
+		"bad estimator":     sketch(func(st *SketchState) { st.Estimators[0].Buf = []float64{2, 1} }),
+		"count mismatch":    sketch(func(st *SketchState) { st.Acc.N = 3 }),
+		"min above max":     sketch(func(st *SketchState) { st.Min = 3 }),
+		"non-finite bounds": sketch(func(st *SketchState) { st.Max = math.Inf(1) }),
 	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("count %d != %d", merged.Count(), whole.Count())
-	}
-	if math.Abs(merged.Mean()-whole.Mean()) > 1e-12 {
-		t.Fatalf("mean %v != %v", merged.Mean(), whole.Mean())
-	}
-	if math.Abs(merged.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("variance %v != %v", merged.Variance(), whole.Variance())
-	}
-}
-
-// TestPointStateMergeExact is the exactness pin for the run ledger: however
-// the replication multiset is split into serialized shards and whatever order
-// the shards are recombined in, the canonical state — and therefore the
-// Welford fold and every summary statistic — is IDENTICAL to the
-// single-process aggregate, bit for bit.
-func TestPointStateMergeExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	whole := randPoint(rng, 24)
-	want := whole.State()
-	wantBytes, err := EncodeRecord(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSum := whole.Summary(0.95)
-
-	reps := want.Reps
-	splits := [][]int{
-		{24},         // one shard
-		{1, 23},      // singleton first
-		{8, 8, 8},    // even thirds
-		{23, 1},      // singleton last
-		{5, 7, 3, 9}, // ragged
-	}
-	for si, sizes := range splits {
-		// Cut the multiset into shards, round-trip each through the binary
-		// codec, then merge in reverse order to stress order-independence.
-		var shards []*PointAggregate
-		at := 0
-		for _, size := range sizes {
-			var shard PointAggregate
-			for _, r := range reps[at : at+size] {
-				shard.Add(r)
-			}
-			at += size
-			data, err := EncodeRecord(shard.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := DecodeRecord(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored, err := PointFromState(back.(PointState))
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards = append(shards, restored)
-		}
-		var merged PointAggregate
-		for i := len(shards) - 1; i >= 0; i-- {
-			merged.Merge(shards[i])
-		}
-		got, err := EncodeRecord(merged.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantBytes) {
-			t.Fatalf("split %d: merged state differs from single-process state", si)
-		}
-		if merged.Summary(0.95) != wantSum {
-			t.Fatalf("split %d: merged summary differs from single-process summary", si)
+	for name, st := range sketches {
+		if _, err := SketchFromState(st); err == nil {
+			t.Errorf("sketch %s: accepted", name)
 		}
 	}
-}
-
-// FuzzDecodeRecord throws arbitrary bytes at the binary decoder; it must
-// never panic, and any record it accepts must re-encode to the same bytes
-// (the canonical-form invariant content addressing relies on).
-func FuzzDecodeRecord(f *testing.F) {
-	rng := rand.New(rand.NewSource(99))
-	seed := []any{
-		AccumulatorState{},
-		randAccumulator(rng, 17).State(),
-		mustP2StateF(f, 0.95, 3, rng),
-		mustP2StateF(f, 0.5, 88, rng),
-		randPoint(rng, 6).State(),
+	if _, err := SketchFromState(sketch(func(*SketchState) {})); err != nil {
+		t.Fatalf("valid sketch state rejected: %v", err)
 	}
-	sk, err := NewQuantileSketch(0.5, 0.95, 0.99)
-	if err != nil {
-		f.Fatal(err)
+	points := map[string]PointState{
+		"non-finite value":     {Reps: []Replication{{Seed: 1, Value: math.NaN()}}},
+		"non-finite delay":     {Reps: []Replication{{Seed: 1, DelayP99: math.Inf(1), DelayCount: 1}}},
+		"negative delay count": {Reps: []Replication{{Seed: 1, DelayCount: -1}}},
 	}
-	for i := 0; i < 40; i++ {
-		sk.Add(rng.Float64() * 100)
-	}
-	seed = append(seed, sk.State())
-	for _, st := range seed {
-		data, err := EncodeRecord(st)
-		if err != nil {
-			f.Fatal(err)
+	for name, st := range points {
+		if _, err := PointFromState(st); err == nil {
+			t.Errorf("point %s: accepted", name)
 		}
-		f.Add(data)
 	}
-	f.Add([]byte("RTSP"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodeRecord(data)
-		if err != nil {
-			return
-		}
-		again, err := EncodeRecord(st)
-		if err != nil {
-			t.Fatalf("decoded record failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(data, again) {
-			t.Fatalf("accepted record is not canonical: %x != %x", data, again)
-		}
-	})
-}
-
-func mustP2StateF(f *testing.F, p float64, n int, rng *rand.Rand) P2State {
-	est, err := NewP2(p)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		est.Add(rng.Float64())
-	}
-	return est.State()
 }

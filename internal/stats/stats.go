@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: streaming mean/variance accumulation (Welford), normal
-// confidence intervals for replication averages, and paired comparisons
-// between protocols run on common random numbers.
+// harness and the run ledger need: streaming mean/variance accumulation
+// (Welford), normal confidence intervals for replication averages, P²
+// quantile estimators, and per-point replication aggregates. Each streaming
+// partial has one serialized form: its JSON state (AccumulatorState,
+// P2State, SketchState, PointState).
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Accumulator computes streaming count, mean and variance using Welford's
 // algorithm. The zero value is ready to use.
@@ -60,16 +59,6 @@ type Interval struct {
 	N int64
 }
 
-// String renders "mean ± half".
-func (iv Interval) String() string {
-	return fmt.Sprintf("%.4f ± %.4f", iv.Mean, iv.Half)
-}
-
-// Contains reports whether x lies within the interval.
-func (iv Interval) Contains(x float64) bool {
-	return x >= iv.Mean-iv.Half && x <= iv.Mean+iv.Half
-}
-
 // zFor returns the two-sided normal quantile for the supported confidence
 // levels; intermediate levels fall back to the closest supported one. The
 // experiment harness averages a handful of replications, where the normal
@@ -93,37 +82,4 @@ func zFor(confidence float64) float64 {
 // accumulated mean at the given level (e.g. 0.95).
 func (a *Accumulator) Confidence(level float64) Interval {
 	return Interval{Mean: a.Mean(), Half: zFor(level) * a.StdErr(), N: a.n}
-}
-
-// Summary condenses an accumulator for reporting.
-type Summary struct {
-	N      int64
-	Mean   float64
-	StdDev float64
-	StdErr float64
-}
-
-// Summarize extracts a Summary.
-func (a *Accumulator) Summarize() Summary {
-	return Summary{N: a.n, Mean: a.Mean(), StdDev: a.StdDev(), StdErr: a.StdErr()}
-}
-
-// PairedDelta aggregates paired differences x_i − y_i (same seeds, two
-// protocols) and answers whether the mean difference is distinguishable
-// from zero at the given confidence.
-type PairedDelta struct {
-	acc Accumulator
-}
-
-// Add records one paired observation.
-func (p *PairedDelta) Add(x, y float64) { p.acc.Add(x - y) }
-
-// Interval returns the confidence interval of the mean difference.
-func (p *PairedDelta) Interval(level float64) Interval { return p.acc.Confidence(level) }
-
-// Significant reports whether zero lies outside the confidence interval,
-// i.e. the two systems measurably differ.
-func (p *PairedDelta) Significant(level float64) bool {
-	iv := p.Interval(level)
-	return p.acc.Count() >= 2 && !iv.Contains(0)
 }

@@ -167,6 +167,15 @@ func TestTelemetryExposition(t *testing.T) {
 	if _, err := s.Telemetry().Counter("rtmac_no_such_metric"); err == nil {
 		t.Error("unknown counter lookup did not error")
 	}
+	for name, kind := range map[string]string{
+		"rtmac_engine_events_fired": "gauge",
+		"rtmac_backoff_slots":       "histogram",
+	} {
+		_, err := s.Telemetry().Counter(name)
+		if err == nil || !strings.Contains(err.Error(), kind) {
+			t.Errorf("Counter(%q) on a %s: err = %v, want an error naming the kind", name, kind, err)
+		}
+	}
 }
 
 func TestManifest(t *testing.T) {
