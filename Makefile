@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet perfbench-check test test-short bench bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover clean
+.PHONY: all build vet perfbench-check test test-short bench bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover loc clean
 
 all: build vet test
 
@@ -242,6 +242,11 @@ fuzz:
 
 cover:
 	$(GO) test -cover ./...
+
+# Non-test Go lines of code, excluding the benchmark module and its build
+# output; CHANGES.md entries quote this figure before and after each change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 clean:
 	rm -rf results

@@ -233,14 +233,8 @@ func runAndReport(cfg rtmac.Config, intervals int) {
 		}
 	}
 	var dl *rtmac.Delay
-	if showDelay {
-		if dl, err = sim.EnableDelayStats(200); err != nil {
-			fatal(err)
-		}
-	}
-	var dq *rtmac.DelayQuantiles
-	if ledgerDir != "" {
-		if dq, err = sim.EnableDelaySketch(); err != nil {
+	if showDelay || ledgerDir != "" {
+		if dl, err = sim.EnableDelay(); err != nil {
 			fatal(err)
 		}
 	}
@@ -439,7 +433,7 @@ func runAndReport(cfg rtmac.Config, intervals int) {
 		}
 		fmt.Println()
 	}
-	if dl != nil && dl.Count() > 0 {
+	if showDelay && dl.Count() > 0 {
 		p50, err := dl.Quantile(0.5)
 		if err != nil {
 			fatal(err)
@@ -456,7 +450,7 @@ func runAndReport(cfg rtmac.Config, intervals int) {
 			dl.Count(), dl.Mean(), p50, p95, p99, dl.Max())
 	}
 	if ledgerDir != "" {
-		if err := appendLedger(sim, cfg, intervals, rep, dq); err != nil {
+		if err := appendLedger(sim, cfg, intervals, rep, dl); err != nil {
 			fatal(err)
 		}
 	}
@@ -519,19 +513,18 @@ func dumpTelemetry(sim *rtmac.Simulation, cfg rtmac.Config, intervals int) error
 // replication — and appends it to the content-addressed store at ledgerDir.
 // A later `ledgerctl merge` of same-config different-seed records reproduces
 // the multi-seed aggregate exactly.
-func appendLedger(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, rep rtmac.Report, dq *rtmac.DelayQuantiles) error {
+func appendLedger(sim *rtmac.Simulation, cfg rtmac.Config, intervals int, rep rtmac.Report, dl *rtmac.Delay) error {
 	rec := ledger.NewRecorder()
-	defRep := stats.Replication{Seed: cfg.Seed, Value: rep.TotalDeficiency}
-	var sketch *stats.SketchState
-	if dq != nil {
-		defRep.DelayP50 = dq.P50()
-		defRep.DelayP95 = dq.P95()
-		defRep.DelayP99 = dq.P99()
-		defRep.DelayCount = dq.Count()
-		st := dq.State()
-		sketch = &st
+	defRep := stats.Replication{
+		Seed:       cfg.Seed,
+		Value:      rep.TotalDeficiency,
+		DelayP50:   dl.P50(),
+		DelayP95:   dl.P95(),
+		DelayP99:   dl.P99(),
+		DelayCount: dl.Count(),
 	}
-	rec.RecordReplication("run", rep.Protocol, 0, "deficiency", ledger.BetterLower, defRep, sketch)
+	sketch := dl.State()
+	rec.RecordReplication("run", rep.Protocol, 0, "deficiency", ledger.BetterLower, defRep, &sketch)
 	for i, l := range rep.Links {
 		rec.RecordReplication("run", rep.Protocol, float64(i), "delivery_ratio", ledger.BetterHigher,
 			stats.Replication{Seed: cfg.Seed, Value: l.DeliveryRatio}, nil)

@@ -7,18 +7,24 @@ import (
 	"rtmac/internal/stats"
 )
 
+// delayBins is the resolution of the delivery-delay histogram: buckets per
+// deadline.
+const delayBins = 200
+
 // Delay exposes per-packet delivery-delay statistics for a simulation: how
 // early within the deadline successful deliveries land. Only delivered data
-// packets are counted.
+// packets are counted. It carries both a histogram at deadline/200
+// resolution (Quantile, DeadlineShare, Histogram) and streaming P²
+// estimators (P50/P95/P99) whose serializable partial (State) is what
+// run-ledger records persist.
 type Delay struct {
-	d *metrics.DelayStats
+	d *metrics.Delay
 }
 
-// EnableDelayStats starts collecting delivery-delay statistics with the
-// given histogram resolution (buckets per deadline; 100 is a fine default).
-// Call before Run. It can coexist with EnableTrace.
-func (s *Simulation) EnableDelayStats(resolution int) (*Delay, error) {
-	d, err := metrics.NewDelayStats(s.profileInterval, resolution)
+// EnableDelay starts collecting delivery-delay statistics. Call before Run.
+// It can coexist with EnableTrace.
+func (s *Simulation) EnableDelay() (*Delay, error) {
+	d, err := metrics.NewDelay(s.profileInterval, delayBins)
 	if err != nil {
 		return nil, fmt.Errorf("rtmac: %w", err)
 	}
@@ -50,40 +56,21 @@ func (d *Delay) Quantile(q float64) (Time, error) {
 func (d *Delay) DeadlineShare(frac float64) float64 { return d.d.DeadlineShare(frac) }
 
 // Histogram returns the raw bucket counts; bucket i covers delays within
-// (i, i+1]·deadline/resolution.
+// (i, i+1]·deadline/200.
 func (d *Delay) Histogram() []int64 { return d.d.Histogram() }
 
-// DelayQuantiles streams delivery delays through fixed-memory P² estimators,
-// yielding p50/p95/p99 without storing samples. Unlike EnableDelayStats it
-// carries a serializable partial (State), which is what run-ledger records
-// persist.
-type DelayQuantiles struct {
-	d *metrics.DelaySketch
-}
+// P50 returns the streaming estimate of the median delivery delay in
+// microseconds.
+func (d *Delay) P50() float64 { return d.d.P50() }
 
-// EnableDelaySketch starts streaming delivery delays through the quantile
-// sketch. Call before Run; it can coexist with EnableDelayStats and
-// EnableTrace.
-func (s *Simulation) EnableDelaySketch() (*DelayQuantiles, error) {
-	d, err := metrics.NewDelaySketch(s.profileInterval)
-	if err != nil {
-		return nil, fmt.Errorf("rtmac: %w", err)
-	}
-	d.Attach(s.nw.Medium())
-	return &DelayQuantiles{d: d}, nil
-}
+// P95 returns the streaming estimate of the 95th-percentile delay in
+// microseconds.
+func (d *Delay) P95() float64 { return d.d.P95() }
 
-// Count returns how many deliveries were observed.
-func (d *DelayQuantiles) Count() int64 { return d.d.Count() }
+// P99 returns the streaming estimate of the 99th-percentile delay in
+// microseconds.
+func (d *Delay) P99() float64 { return d.d.P99() }
 
-// P50 returns the estimated median delivery delay in microseconds.
-func (d *DelayQuantiles) P50() float64 { return d.d.P50() }
-
-// P95 returns the estimated 95th-percentile delay in microseconds.
-func (d *DelayQuantiles) P95() float64 { return d.d.P95() }
-
-// P99 returns the estimated 99th-percentile delay in microseconds.
-func (d *DelayQuantiles) P99() float64 { return d.d.P99() }
-
-// State exports the sketch's serializable partial for ledger records.
-func (d *DelayQuantiles) State() stats.SketchState { return d.d.State() }
+// State exports the streaming estimators' serializable partial for ledger
+// records.
+func (d *Delay) State() stats.SketchState { return d.d.State() }

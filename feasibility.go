@@ -149,6 +149,11 @@ func toProblem(cfg Config) (feasibility.Problem, error) {
 	if cfg.Profile.p.Name == "" {
 		return feasibility.Problem{}, fmt.Errorf("rtmac: no profile configured")
 	}
+	if cfg.Fading != nil {
+		if err := cfg.Fading.validate(); err != nil {
+			return feasibility.Problem{}, err
+		}
+	}
 	n := len(cfg.Links)
 	probs := make([]float64, n)
 	req := make([]float64, n)

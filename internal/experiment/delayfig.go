@@ -28,7 +28,7 @@ func (f delayFigure) Run(opts RunOptions) (*Result, error) {
 	specs := paperSpecs()
 	// One run per (protocol, load), each keeping a 200-bin delay histogram;
 	// quantiles are read after the pool drains.
-	hists := make([]*metrics.DelayStats, len(specs)*len(xs))
+	hists := make([]*metrics.Delay, len(specs)*len(xs))
 	var jobs []job
 	for si, spec := range specs {
 		for xi, x := range xs {
@@ -39,7 +39,7 @@ func (f delayFigure) Run(opts RunOptions) (*Result, error) {
 			sc.delayBins = 200
 			slot := si*len(xs) + xi
 			jobs = append(jobs, job{key: fmt.Sprintf("%g/%s", x, spec.Label), spec: spec, sc: sc,
-				seed: opts.BaseSeed, reduce: func(_ uint64, out runOut) { hists[slot] = out.hist }})
+				seed: opts.BaseSeed, reduce: func(_ uint64, out runOut) { hists[slot] = out.delay }})
 		}
 	}
 	if err := runJobs(figureMeta{id: f.ID(), title: f.Title()}, jobs, opts); err != nil {

@@ -221,16 +221,15 @@ type scenario struct {
 	required    []float64
 	intervals   int
 	seriesEvery int
-	// delayBins, when positive, also records a delivery-delay histogram
-	// with that many bins per interval.
+	// delayBins, when positive, gives the delivery-delay collector a
+	// histogram with that many bins per interval.
 	delayBins int
 }
 
 // runOut is everything one simulation yields to its reducer.
 type runOut struct {
 	col   *metrics.Collector
-	delay *metrics.DelaySketch
-	hist  *metrics.DelayStats // nil unless scenario.delayBins > 0
+	delay *metrics.Delay
 }
 
 // replication packages the run as one seed-tagged replication for the
@@ -247,7 +246,7 @@ func (o runOut) replication(seed uint64, value float64) stats.Replication {
 }
 
 // runOne simulates a scenario under a protocol and returns the collector and
-// a delivery-delay sketch. It is the only place a figure builds a network.
+// the delivery-delay collector. It is the only place a figure builds a network.
 // With opts.Monitor, the strict invariant monitor rides along and the run
 // fails at the end of the first violating interval; opts.Watch adds the SLO
 // engine. Both planes and opts.Events share one fan-out, which is the
@@ -281,16 +280,10 @@ func runOne(sc scenario, spec protocol.Spec, seed uint64, opts RunOptions) (runO
 		return runOut{}, err
 	}
 	out := runOut{col: col}
-	if out.delay, err = metrics.NewDelaySketch(sc.profile.Interval); err != nil {
+	if out.delay, err = metrics.NewDelay(sc.profile.Interval, sc.delayBins); err != nil {
 		return runOut{}, err
 	}
 	out.delay.Attach(nw.Medium())
-	if sc.delayBins > 0 {
-		if out.hist, err = metrics.NewDelayStats(sc.profile.Interval, sc.delayBins); err != nil {
-			return runOut{}, err
-		}
-		out.hist.Attach(nw.Medium())
-	}
 	fan := make(telemetry.MultiSink, 0, 3)
 	if opts.Monitor {
 		cfg := spec.Monitor(links, sc.profile.Interval, nil)

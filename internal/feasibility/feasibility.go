@@ -49,7 +49,7 @@ func (p Problem) Validate() error {
 		return fmt.Errorf("feasibility: requirement vector has %d links, want %d", len(p.Required), n)
 	}
 	for i, prob := range p.SuccessProb {
-		if prob <= 0 || prob > 1 {
+		if !(prob > 0 && prob <= 1) {
 			return fmt.Errorf("feasibility: p_%d = %v outside (0, 1]", i, prob)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rtmac/internal/ring"
 	"rtmac/internal/telemetry"
 )
 
@@ -68,8 +69,8 @@ type Collector struct {
 
 	mu             sync.Mutex
 	last           CollectorStatus
-	heapSer        series
-	pauseSer       series
+	heapSer        ring.Ring[float64]
+	pauseSer       ring.Ring[float64]
 	prevPauseCount uint64
 
 	started atomic.Bool
@@ -100,26 +101,6 @@ type CollectorStatus struct {
 	PauseSeries []float64 `json:"pause_series,omitempty"`
 }
 
-// series is a fixed-capacity append-only window.
-type series struct {
-	buf []float64
-}
-
-func (s *series) push(v float64) {
-	if len(s.buf) == seriesLen {
-		copy(s.buf, s.buf[1:])
-		s.buf[len(s.buf)-1] = v
-		return
-	}
-	s.buf = append(s.buf, v)
-}
-
-func (s *series) snapshot() []float64 {
-	out := make([]float64, len(s.buf))
-	copy(out, s.buf)
-	return out
-}
-
 // NewCollector builds a collector; call Start to begin sampling.
 func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.Period <= 0 {
@@ -134,8 +115,8 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	c.heapSer.buf = make([]float64, 0, seriesLen)
-	c.pauseSer.buf = make([]float64, 0, seriesLen)
+	c.heapSer = ring.New[float64](seriesLen)
+	c.pauseSer = ring.New[float64](seriesLen)
 
 	avail := make(map[string]bool)
 	for _, d := range metrics.All() {
@@ -234,7 +215,7 @@ func (c *Collector) sample() {
 		if v > st.HeapPeakBytes {
 			st.HeapPeakBytes = v
 		}
-		c.heapSer.push(float64(v))
+		*c.heapSer.Push() = float64(v)
 	}
 	if v, ok := c.uint64At(mHeapGoal); ok {
 		st.HeapGoalBytes = v
@@ -244,7 +225,7 @@ func (c *Collector) sample() {
 	}
 	if h, ok := c.histAt(mGCPauses); ok {
 		ps := histStats(h)
-		c.pauseSer.push(float64(ps.count - c.prevPauseCount))
+		*c.pauseSer.Push() = float64(ps.count - c.prevPauseCount)
 		c.prevPauseCount = ps.count
 		st.GCPauses = ps.count
 		st.GCPauseTotNS = secToNS(ps.totalSec)
@@ -306,8 +287,8 @@ func (c *Collector) Status() CollectorStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.last
-	st.HeapSeries = c.heapSer.snapshot()
-	st.PauseSeries = c.pauseSer.snapshot()
+	st.HeapSeries = c.heapSer.Slice()
+	st.PauseSeries = c.pauseSer.Slice()
 	return st
 }
 

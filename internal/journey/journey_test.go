@@ -323,12 +323,12 @@ func TestTracerNilWriterKeepsAggregates(t *testing.T) {
 }
 
 func TestTimelineRingWrap(t *testing.T) {
-	var out bytes.Buffer
-	tr, err := NewTracer(1, &out, 1, WithTimelineCapacity(4))
+	tr, err := NewTracer(1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := int64(0); k < 10; k++ {
+	const n = timelineLen + 6
+	for k := int64(0); k < n; k++ {
 		tr.BeginInterval(k, sim.Time(k*100), sim.Time(k*100+100), []int{0})
 		tr.EndInterval([]int{0}, func(int) float64 { return float64(k) })
 	}
@@ -336,22 +336,30 @@ func TestTimelineRingWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
-		t.Fatalf("retained %d points, want 4", len(pts))
+	if len(pts) != timelineLen {
+		t.Fatalf("retained %d points, want %d", len(pts), timelineLen)
 	}
 	for i, p := range pts {
-		if want := int64(6 + i); p.K != want {
-			t.Errorf("point %d: k = %d, want %d", i, p.K, want)
+		if want := int64(n - timelineLen + i); p.K != want {
+			t.Fatalf("point %d: k = %d, want %d", i, p.K, want)
 		}
 	}
 }
 
 func TestTimelinePartialAndPositiveDebt(t *testing.T) {
-	tl := newTimeline(8)
-	tl.add(DebtPoint{K: 1, Debt: -2})
-	tl.add(DebtPoint{K: 2, Debt: 3})
-	pts := tl.Points()
-	if len(pts) != 2 || tl.Len() != 2 {
+	tr, err := NewTracer(1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, debt := range []float64{-2, 3} {
+		tr.BeginInterval(int64(k), sim.Time(k*100), sim.Time(k*100+100), []int{0})
+		tr.EndInterval([]int{0}, func(int) float64 { return debt })
+	}
+	pts, err := tr.Timeline(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2 || pts[0].K != 0 || pts[1].K != 1 {
 		t.Fatalf("points = %v", pts)
 	}
 	if pts[0].PositiveDebt() != 0 || pts[1].PositiveDebt() != 3 {

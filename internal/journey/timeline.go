@@ -23,39 +23,7 @@ func (p DebtPoint) PositiveDebt() float64 {
 	return 0
 }
 
-// Timeline is a bounded ring of per-interval debt points for one link: the
-// most recent capacity intervals survive, so FCSMA's debt saturation and
-// DB-DP's recovery stay visible without unbounded memory.
-type Timeline struct {
-	ring []DebtPoint
-	next int
-	cap  int
-}
-
-func newTimeline(capacity int) Timeline {
-	return Timeline{cap: capacity}
-}
-
-func (t *Timeline) add(p DebtPoint) {
-	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, p)
-		return
-	}
-	t.ring[t.next] = p
-	t.next = (t.next + 1) % t.cap
-}
-
-// Points returns the retained points in chronological order, oldest first.
-// The returned slice is a copy, safe to hold across further recording.
-func (t *Timeline) Points() []DebtPoint {
-	out := make([]DebtPoint, 0, len(t.ring))
-	if len(t.ring) == t.cap && t.cap > 0 {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-		return out
-	}
-	return append(out, t.ring...)
-}
-
-// Len returns the number of retained points.
-func (t *Timeline) Len() int { return len(t.ring) }
+// timelineLen bounds each link's debt timeline: the most recent 512
+// intervals survive, so FCSMA's debt saturation and DB-DP's recovery stay
+// visible without unbounded memory.
+const timelineLen = 512

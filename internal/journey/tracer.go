@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"rtmac/internal/medium"
+	"rtmac/internal/ring"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
@@ -52,30 +53,15 @@ type Tracer struct {
 	count     int64 // journeys written
 	agg       Attribution
 	perLink   []Attribution
-	timelines []Timeline
+	timelines []ring.Ring[DebtPoint]
 	nSwapUp   []int64
 	nSwapDown []int64
-}
-
-// Option configures a Tracer.
-type Option func(*Tracer)
-
-// WithTimelineCapacity bounds each link's debt timeline ring to the given
-// number of intervals (default 512).
-func WithTimelineCapacity(n int) Option {
-	return func(t *Tracer) {
-		if n > 0 {
-			for i := range t.timelines {
-				t.timelines[i] = newTimeline(n)
-			}
-		}
-	}
 }
 
 // NewTracer builds a tracer for a network of links links, streaming completed
 // journeys as JSONL to w (nil keeps only the in-memory aggregates and
 // timelines) and recording every sample-th packet (1 records all).
-func NewTracer(links int, w io.Writer, sample int, opts ...Option) (*Tracer, error) {
+func NewTracer(links int, w io.Writer, sample int) (*Tracer, error) {
 	if links <= 0 {
 		return nil, fmt.Errorf("journey: no links")
 	}
@@ -95,12 +81,12 @@ func NewTracer(links int, w io.Writer, sample int, opts ...Option) (*Tracer, err
 		swapUp:    make([]bool, links),
 		swapDown:  make([]bool, links),
 		perLink:   make([]Attribution, links),
-		timelines: make([]Timeline, links),
+		timelines: make([]ring.Ring[DebtPoint], links),
 		nSwapUp:   make([]int64, links),
 		nSwapDown: make([]int64, links),
 	}
 	for i := range t.timelines {
-		t.timelines[i] = newTimeline(512)
+		t.timelines[i] = ring.New[DebtPoint](timelineLen)
 	}
 	if w != nil {
 		t.buf = bufio.NewWriter(w)
@@ -112,9 +98,6 @@ func NewTracer(links int, w io.Writer, sample int, opts ...Option) (*Tracer, err
 		if _, err := t.buf.Write(header.MarshalLine()); err != nil {
 			t.err = fmt.Errorf("journey: stream: %w", err)
 		}
-	}
-	for _, opt := range opts {
-		opt(t)
 	}
 	return t, nil
 }
@@ -286,7 +269,7 @@ func (t *Tracer) EndInterval(served []int, debt func(link int) float64) {
 		if t.swapDown[link] {
 			t.nSwapDown[link]++
 		}
-		t.timelines[link].add(DebtPoint{
+		*t.timelines[link].Push() = DebtPoint{
 			K:         t.k,
 			Debt:      debt(link),
 			Delivered: t.wins[link],
@@ -294,7 +277,7 @@ func (t *Tracer) EndInterval(served []int, debt func(link int) float64) {
 			Collided:  t.colls[link],
 			SwapUp:    t.swapUp[link],
 			SwapDown:  t.swapDown[link],
-		})
+		}
 	}
 }
 
@@ -371,7 +354,7 @@ func (t *Tracer) Timeline(link int) ([]DebtPoint, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.timelines[link].Points(), nil
+	return t.timelines[link].Slice(), nil
 }
 
 // Swaps returns how many intervals committed a swap moving link up

@@ -46,21 +46,34 @@ type GilbertElliott struct {
 	updated []sim.Time
 }
 
+// CheckGilbertElliott validates Gilbert–Elliott parameters: state
+// reliabilities in (0, 1] with the Bad state no better than the Good one, a
+// Good→Bad probability in [0, 1], a Bad→Good probability in (0, 1] (so the
+// chain has a stationary distribution), and a positive period. NaN fails
+// every check.
+func CheckGilbertElliott(pGood, pBad, goodToBad, badToGood float64, period sim.Time) error {
+	switch {
+	case !(pGood > 0 && pGood <= 1 && pBad > 0 && pBad <= 1):
+		return fmt.Errorf("medium: state probabilities (%v, %v) outside (0, 1]", pGood, pBad)
+	case pBad > pGood:
+		return fmt.Errorf("medium: bad-state probability %v above good-state %v", pBad, pGood)
+	case !(goodToBad >= 0 && goodToBad <= 1 && badToGood > 0 && badToGood <= 1):
+		return fmt.Errorf("medium: transition probabilities (%v, %v) invalid", goodToBad, badToGood)
+	case period <= 0:
+		return fmt.Errorf("medium: non-positive fading period %v", period)
+	}
+	return nil
+}
+
 // NewGilbertElliott validates the parameters and prepares per-link chains
 // for n links, with randomness drawn from the engine's "channel" stream.
 // Each link starts in its stationary state distribution.
 func NewGilbertElliott(eng *sim.Engine, n int, pGood, pBad, goodToBad, badToGood float64, period sim.Time) (*GilbertElliott, error) {
-	switch {
-	case n <= 0:
+	if n <= 0 {
 		return nil, fmt.Errorf("medium: need at least one link, got %d", n)
-	case pGood <= 0 || pGood > 1 || pBad <= 0 || pBad > 1:
-		return nil, fmt.Errorf("medium: state probabilities (%v, %v) outside (0, 1]", pGood, pBad)
-	case pBad > pGood:
-		return nil, fmt.Errorf("medium: bad-state probability %v above good-state %v", pBad, pGood)
-	case goodToBad < 0 || goodToBad > 1 || badToGood <= 0 || badToGood > 1:
-		return nil, fmt.Errorf("medium: transition probabilities (%v, %v) invalid", goodToBad, badToGood)
-	case period <= 0:
-		return nil, fmt.Errorf("medium: non-positive fading period %v", period)
+	}
+	if err := CheckGilbertElliott(pGood, pBad, goodToBad, badToGood, period); err != nil {
+		return nil, err
 	}
 	ge := &GilbertElliott{
 		PGood:     pGood,

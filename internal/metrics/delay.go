@@ -3,48 +3,58 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
+	"rtmac/internal/stats"
 )
 
-// DelayStats measures per-packet delivery delay: the time from a packet's
+// Delay measures per-packet delivery delay: the time from a packet's
 // arrival (its interval's start) to the end of its successful transmission.
 // The paper's headline metric is timely-throughput — whether packets make
 // the deadline at all — but a control engineer also cares how early within
 // the deadline deliveries land; this collector answers that.
 //
+// Every delivery feeds fixed-memory P² estimators (p50/p95/p99 and a
+// serializable State for run-ledger records), so every replication of every
+// sweep point can afford one. A collector built with histogram bins also
+// keeps a fixed-resolution histogram over the deadline, which Quantile,
+// Histogram and DeadlineShare read.
+//
 // Attach to a medium before running; only delivered data packets are
 // counted (empty frames and losses carry no delivery delay).
-type DelayStats struct {
+type Delay struct {
 	interval sim.Time
-	// histogram over delay as a fraction of the deadline, in buckets of
-	// width interval/resolution.
+	sketch   *stats.QuantileSketch
+	// buckets is the histogram over delay as a fraction of the deadline, in
+	// buckets of width interval/len(buckets); nil without bins.
 	buckets []int64
-	total   int64
-	sum     sim.Time
-	max     sim.Time
+	sum     sim.Time // exact, for Mean
 }
 
-// NewDelayStats creates a collector for a network whose intervals have the
-// given duration, with the given histogram resolution (number of buckets
-// spanning one deadline).
-func NewDelayStats(interval sim.Time, resolution int) (*DelayStats, error) {
+// NewDelay creates a collector for a network whose intervals have the given
+// duration. bins > 0 also keeps a histogram with that many buckets spanning
+// one deadline; bins == 0 keeps only the P² estimators.
+func NewDelay(interval sim.Time, bins int) (*Delay, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("metrics: non-positive interval %v", interval)
 	}
-	if resolution <= 0 {
-		return nil, fmt.Errorf("metrics: non-positive resolution %d", resolution)
+	if bins < 0 {
+		return nil, fmt.Errorf("metrics: negative histogram bins %d", bins)
 	}
-	return &DelayStats{
-		interval: interval,
-		buckets:  make([]int64, resolution),
-	}, nil
+	sk, err := stats.NewQuantileSketch(0.5, 0.95, 0.99)
+	if err != nil {
+		return nil, err
+	}
+	d := &Delay{interval: interval, sketch: sk}
+	if bins > 0 {
+		d.buckets = make([]int64, bins)
+	}
+	return d, nil
 }
 
 // Attach registers the collector as one of the medium's trace hooks.
-func (d *DelayStats) Attach(med *medium.Medium) {
+func (d *Delay) Attach(med *medium.Medium) {
 	med.AddTrace(func(tx medium.Transmission, outcome medium.Outcome) {
 		if tx.Empty || outcome != medium.Delivered {
 			return
@@ -54,13 +64,13 @@ func (d *DelayStats) Attach(med *medium.Medium) {
 }
 
 // observe records a delivery ending at instant end.
-func (d *DelayStats) observe(end sim.Time) {
+func (d *Delay) observe(end sim.Time) {
 	intervalStart := (end - 1) / d.interval * d.interval // end is in (start, start+T]
 	delay := end - intervalStart
-	d.total++
+	d.sketch.Add(float64(delay))
 	d.sum += delay
-	if delay > d.max {
-		d.max = delay
+	if d.buckets == nil {
+		return
 	}
 	idx := int(int64(delay-1) * int64(len(d.buckets)) / int64(d.interval))
 	if idx < 0 {
@@ -73,30 +83,47 @@ func (d *DelayStats) observe(end sim.Time) {
 }
 
 // Count returns the number of recorded deliveries.
-func (d *DelayStats) Count() int64 { return d.total }
+func (d *Delay) Count() int64 { return d.sketch.Count() }
 
 // Mean returns the average delivery delay.
-func (d *DelayStats) Mean() sim.Time {
-	if d.total == 0 {
-		return 0
+func (d *Delay) Mean() sim.Time {
+	if n := d.Count(); n > 0 {
+		return d.sum / sim.Time(n)
 	}
-	return d.sum / sim.Time(d.total)
+	return 0
 }
 
 // Max returns the largest observed delay (never exceeds the deadline by
 // construction — later packets are dropped, not delivered).
-func (d *DelayStats) Max() sim.Time { return d.max }
+func (d *Delay) Max() sim.Time { return sim.Time(d.sketch.Max()) }
+
+// P50 returns the estimated median delivery delay in microseconds.
+func (d *Delay) P50() float64 { return d.sketch.Quantile(0.5) }
+
+// P95 returns the estimated 95th-percentile delay in microseconds.
+func (d *Delay) P95() float64 { return d.sketch.Quantile(0.95) }
+
+// P99 returns the estimated 99th-percentile delay in microseconds.
+func (d *Delay) P99() float64 { return d.sketch.Quantile(0.99) }
+
+// State exports the quantile sketch's serializable partial, for run-ledger
+// records.
+func (d *Delay) State() stats.SketchState { return d.sketch.State() }
 
 // Quantile returns the q-quantile (0 < q ≤ 1) of the delay distribution,
-// resolved to bucket granularity (each bucket's upper edge).
-func (d *DelayStats) Quantile(q float64) (sim.Time, error) {
-	if q <= 0 || q > 1 {
+// resolved to histogram bucket granularity (each bucket's upper edge).
+func (d *Delay) Quantile(q float64) (sim.Time, error) {
+	if !(q > 0 && q <= 1) {
 		return 0, fmt.Errorf("metrics: quantile %v outside (0, 1]", q)
 	}
-	if d.total == 0 {
+	if d.buckets == nil {
+		return 0, fmt.Errorf("metrics: delay collector keeps no histogram")
+	}
+	total := d.Count()
+	if total == 0 {
 		return 0, fmt.Errorf("metrics: no deliveries recorded")
 	}
-	need := int64(math.Ceil(q * float64(d.total)))
+	need := int64(math.Ceil(q * float64(total)))
 	acc := int64(0)
 	for i, c := range d.buckets {
 		acc += c
@@ -107,18 +134,16 @@ func (d *DelayStats) Quantile(q float64) (sim.Time, error) {
 	return d.interval, nil
 }
 
-// Histogram returns a copy of the bucket counts; bucket i covers delays in
-// (i, i+1]·interval/len(buckets).
-func (d *DelayStats) Histogram() []int64 {
-	out := make([]int64, len(d.buckets))
-	copy(out, d.buckets)
-	return out
-}
+// Histogram returns a copy of the bucket counts (nil without a histogram);
+// bucket i covers delays in (i, i+1]·interval/len(buckets).
+func (d *Delay) Histogram() []int64 { return append([]int64(nil), d.buckets...) }
 
 // DeadlineShare returns the fraction of deliveries with delay at most
-// frac·deadline, interpolating bucket edges downward (conservative).
-func (d *DelayStats) DeadlineShare(frac float64) float64 {
-	if d.total == 0 {
+// frac·deadline, interpolating bucket edges downward (conservative). It is 0
+// without a histogram.
+func (d *Delay) DeadlineShare(frac float64) float64 {
+	total := d.Count()
+	if total == 0 {
 		return 0
 	}
 	edge := int(frac * float64(len(d.buckets)))
@@ -129,20 +154,5 @@ func (d *DelayStats) DeadlineShare(frac float64) float64 {
 	for i := 0; i < edge; i++ {
 		acc += d.buckets[i]
 	}
-	return float64(acc) / float64(d.total)
-}
-
-// SortedQuantiles is a convenience returning the given quantiles in one
-// pass, for reports.
-func (d *DelayStats) SortedQuantiles(qs ...float64) (map[float64]sim.Time, error) {
-	sort.Float64s(qs)
-	out := make(map[float64]sim.Time, len(qs))
-	for _, q := range qs {
-		v, err := d.Quantile(q)
-		if err != nil {
-			return nil, err
-		}
-		out[q] = v
-	}
-	return out, nil
+	return float64(acc) / float64(total)
 }

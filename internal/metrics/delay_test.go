@@ -8,16 +8,43 @@ import (
 )
 
 func TestDelayStatsValidation(t *testing.T) {
-	if _, err := NewDelayStats(0, 10); err == nil {
+	if _, err := NewDelay(0, 10); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if _, err := NewDelayStats(100, 0); err == nil {
-		t.Error("zero resolution accepted")
+	if _, err := NewDelay(100, -1); err == nil {
+		t.Error("negative bin count accepted")
+	}
+}
+
+// TestDelayWithoutHistogram pins the sweep configuration: the P² side and
+// the exact mean/max run, the histogram accessors report its absence.
+func TestDelayWithoutHistogram(t *testing.T) {
+	d, err := NewDelay(100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, end := range []sim.Time{10, 50, 100, 110, 130} {
+		d.observe(end)
+	}
+	if d.Count() != 5 || d.Mean() != (10+50+100+10+30)/5 || d.Max() != 100 {
+		t.Fatalf("count %d mean %v max %v", d.Count(), d.Mean(), d.Max())
+	}
+	if p50 := d.P50(); p50 != 30 {
+		t.Fatalf("P50 = %v, want 30 (exact below five samples)", p50)
+	}
+	if st := d.State(); st.Max != 100 || len(st.Quantiles) != 3 {
+		t.Fatalf("State = %+v", st)
+	}
+	if _, err := d.Quantile(0.5); err == nil {
+		t.Error("Quantile without a histogram accepted")
+	}
+	if d.Histogram() != nil || d.DeadlineShare(1) != 0 {
+		t.Error("histogram accessors report data without a histogram")
 	}
 }
 
 func TestDelayObservation(t *testing.T) {
-	d, err := NewDelayStats(100, 10)
+	d, err := NewDelay(100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +69,7 @@ func TestDelayObservation(t *testing.T) {
 }
 
 func TestDelayQuantiles(t *testing.T) {
-	d, _ := NewDelayStats(100, 10)
+	d, _ := NewDelay(100, 10)
 	// 9 fast deliveries (delay 10) and one at the deadline.
 	for i := 0; i < 9; i++ {
 		d.observe(10)
@@ -68,17 +95,10 @@ func TestDelayQuantiles(t *testing.T) {
 	if share := d.DeadlineShare(0.5); share != 0.9 {
 		t.Fatalf("DeadlineShare(0.5) = %v, want 0.9", share)
 	}
-	qs, err := d.SortedQuantiles(0.5, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs[0.5] != 10 || qs[0.99] != 100 {
-		t.Fatalf("SortedQuantiles = %v", qs)
-	}
 }
 
 func TestDelayQuantileEmpty(t *testing.T) {
-	d, _ := NewDelayStats(100, 10)
+	d, _ := NewDelay(100, 10)
 	if _, err := d.Quantile(0.5); err == nil {
 		t.Error("quantile on empty stats accepted")
 	}
@@ -93,7 +113,7 @@ func TestDelayAttachToMedium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDelayStats(1000, 10)
+	d, err := NewDelay(1000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"rtmac/internal/medium"
+	"rtmac/internal/ring"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
@@ -345,8 +346,7 @@ const outcomeCollided = 2
 
 // DebtSane cross-checks "debt" events against "interval" events.
 type DebtSane struct {
-	links  int
-	window int
+	links int
 
 	inferredQ float64
 	haveQ     bool
@@ -358,8 +358,7 @@ type DebtSane struct {
 	pendK    int64
 	havePend bool
 
-	ring   []float64
-	ringAt int
+	sums   ring.Ring[float64] // total debt of the last debtWindow intervals
 	growth *telemetry.Gauge
 }
 
@@ -371,7 +370,7 @@ const debtWindow = 64
 // interval over the last 64 intervals; persistently positive means the
 // network is saturating).
 func NewDebtSane(links int, reg *telemetry.Registry) *DebtSane {
-	c := &DebtSane{links: links, window: debtWindow}
+	c := &DebtSane{links: links, sums: ring.New[float64](debtWindow)}
 	if reg != nil {
 		c.growth = reg.Gauge("rtmac_monitor_debt_window_growth",
 			"net total-debt growth per interval over the last 64 intervals; persistently positive indicates saturation")
@@ -439,17 +438,16 @@ func (c *DebtSane) observeGrowth(sum float64) {
 	if c.growth == nil {
 		return
 	}
-	if len(c.ring) < c.window {
-		c.ring = append(c.ring, sum)
-		if n := len(c.ring); n > 1 {
-			c.growth.Set((sum - c.ring[0]) / float64(n-1))
-		}
-		return
+	full := c.sums.Len() == c.sums.Cap()
+	slot := c.sums.Push()
+	evicted := *slot
+	*slot = sum
+	switch n := c.sums.Len(); {
+	case full:
+		c.growth.Set((sum - evicted) / float64(n))
+	case n > 1:
+		c.growth.Set((sum - *c.sums.At(0)) / float64(n-1))
 	}
-	oldest := c.ring[c.ringAt]
-	c.ring[c.ringAt] = sum
-	c.ringAt = (c.ringAt + 1) % c.window
-	c.growth.Set((sum - oldest) / float64(c.window))
 }
 
 // ---------------------------------------------------------------------------

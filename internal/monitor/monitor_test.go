@@ -572,3 +572,27 @@ func TestRetentionBound(t *testing.T) {
 		t.Errorf("count %d, want %d", m.Count(), maxRetained+50)
 	}
 }
+
+// TestDebtWindowGrowth pins the saturation gauge: net growth per interval
+// since the oldest retained total while the window fills, then over exactly
+// debtWindow intervals once it wraps.
+func TestDebtWindowGrowth(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := NewDebtSane(2, reg)
+	g := reg.Gauge("rtmac_monitor_debt_window_growth", "")
+	for k := 0; k < 3*debtWindow; k++ {
+		sum := float64(k * k)
+		c.observeGrowth(sum)
+		var want float64
+		switch {
+		case k >= debtWindow:
+			old := float64((k - debtWindow) * (k - debtWindow))
+			want = (sum - old) / debtWindow
+		case k > 0:
+			want = sum / float64(k)
+		}
+		if got := g.Value(); got != want {
+			t.Fatalf("k=%d: growth %v, want %v", k, got, want)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"rtmac/internal/ring"
 	"rtmac/internal/telemetry"
 )
 
@@ -13,14 +14,11 @@ import (
 // memory no matter how long the run is, and on a violation (or on demand) it
 // dumps exactly the window of history that explains what happened.
 type FlightRecorder struct {
-	capacity int
-	// ring holds the retained intervals in order of first appearance, the
-	// oldest at head once the ring is full. An evicted interval's bucket is
-	// reused for the next new one, so steady-state recording allocates
-	// nothing.
-	ring    []recBucket
-	head    int
-	last    int // ring index of the bucket the previous event went to
+	// ring holds the retained intervals in order of first appearance. An
+	// evicted interval's bucket is reused for the next new one, so
+	// steady-state recording allocates nothing.
+	ring    ring.Ring[recBucket]
+	last    *recBucket // the bucket the previous event went to; valid until the next Push
 	dropped int64
 	total   int64
 	// pinned holds run-scoped events exempt from windowed eviction: the
@@ -44,7 +42,7 @@ func NewFlightRecorder(intervals int) (*FlightRecorder, error) {
 	if intervals <= 0 {
 		return nil, fmt.Errorf("monitor: flight recorder capacity %d must be positive", intervals)
 	}
-	return &FlightRecorder{capacity: intervals, last: -1}, nil
+	return &FlightRecorder{ring: ring.New[recBucket](intervals)}, nil
 }
 
 // Emit implements telemetry.Sink. Events are grouped by interval index; when
@@ -68,25 +66,22 @@ func (r *FlightRecorder) Emit(ev telemetry.Event) {
 // bucket returns interval k's bucket, starting one — and evicting the oldest
 // interval when the ring is full — if k is not retained.
 func (r *FlightRecorder) bucket(k int64) *recBucket {
-	if r.last >= 0 && r.ring[r.last].k == k {
-		return &r.ring[r.last]
+	if r.last != nil && r.last.k == k {
+		return r.last
 	}
-	for i := range r.ring {
-		if r.ring[i].k == k {
-			r.last = i
-			return &r.ring[i]
+	for i := 0; i < r.ring.Len(); i++ {
+		if b := r.ring.At(i); b.k == k {
+			r.last = b
+			return b
 		}
 	}
-	if len(r.ring) < r.capacity {
-		r.ring = append(r.ring, recBucket{k: k})
-		r.last = len(r.ring) - 1
-		return &r.ring[r.last]
+	evicting := r.ring.Len() == r.ring.Cap()
+	b := r.ring.Push()
+	if evicting {
+		r.dropped += int64(len(b.events))
 	}
-	b := &r.ring[r.head]
-	r.dropped += int64(len(b.events))
 	b.k, b.events, b.vals = k, b.events[:0], b.vals[:0]
-	r.last = r.head
-	r.head = (r.head + 1) % r.capacity
+	r.last = b
 	return b
 }
 
@@ -97,15 +92,15 @@ func (r *FlightRecorder) Total() int64 { return r.total }
 func (r *FlightRecorder) Dropped() int64 { return r.dropped }
 
 // Intervals returns how many intervals are currently retained.
-func (r *FlightRecorder) Intervals() int { return len(r.ring) }
+func (r *FlightRecorder) Intervals() int { return r.ring.Len() }
 
 // Events returns the retained events: pinned run-scoped events (the conflict
 // topology) first, then the windowed intervals oldest first, in emission
 // order within each interval. The slice and the events' values are copies.
 func (r *FlightRecorder) Events() []telemetry.Event {
-	byK := make([]*recBucket, len(r.ring))
-	for i := range r.ring {
-		byK[i] = &r.ring[i]
+	byK := make([]*recBucket, r.ring.Len())
+	for i := range byK {
+		byK[i] = r.ring.At(i)
 	}
 	sort.Slice(byK, func(i, j int) bool { return byK[i].k < byK[j].k })
 	out := append([]telemetry.Event(nil), r.pinned...)
@@ -156,7 +151,7 @@ func (r *FlightRecorder) WriteTimeline(w io.Writer) error {
 	}
 	if r.dropped > 0 {
 		if _, err := fmt.Fprintf(w, "(%d earlier events beyond the %d-interval window were dropped)\n",
-			r.dropped, r.capacity); err != nil {
+			r.dropped, r.ring.Cap()); err != nil {
 			return err
 		}
 	}

@@ -35,6 +35,34 @@ func TestFlightRecorderEviction(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderInterleavedIntervals revisits retained intervals while
+// the ring grows and after it wraps: each event must land in its own
+// interval's bucket, and the evicted buckets' storage is reused.
+func TestFlightRecorderInterleavedIntervals(t *testing.T) {
+	r, err := NewFlightRecorder(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{0, 1, 0, 2, 1, 0, 3, 2, 4, 3, 2} {
+		r.Emit(intervalEvent(k, 1))
+	}
+	if r.Dropped() != 5 { // interval 0's three events, then interval 1's two
+		t.Errorf("dropped %d, want 5", r.Dropped())
+	}
+	perK := map[int64]int{}
+	for _, ev := range r.Events() {
+		perK[ev.K]++
+	}
+	if len(perK) != 3 || perK[2] != 3 || perK[3] != 2 || perK[4] != 1 {
+		t.Errorf("retained events per interval %v, want map[2:3 3:2 4:1]", perK)
+	}
+	ev := intervalEvent(5, 1)
+	r.Emit(ev) // evicts interval 2 and reuses its bucket
+	if allocs := testing.AllocsPerRun(2, func() { r.Emit(ev) }); allocs != 0 {
+		t.Errorf("emit into a reused bucket allocates %v times", allocs)
+	}
+}
+
 func TestFlightRecorderCopiesFields(t *testing.T) {
 	r, err := NewFlightRecorder(2)
 	if err != nil {

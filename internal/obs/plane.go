@@ -164,92 +164,66 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-func (p *Plane) handleProgress(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p.Tracker.Snapshot()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (p *Plane) handleLinks(w http.ResponseWriter, r *http.Request) {
-	if p.links == nil {
-		http.Error(w, "no link board attached (run with journeys enabled)", http.StatusNotFound)
+// writeJSON serves doc as an indented JSON document. A nil provider means
+// the plane it reads from is not attached: the endpoint answers 404 with
+// missing, which names the flag that attaches it.
+func writeJSON(w http.ResponseWriter, doc func() any, missing string) {
+	if doc == nil {
+		http.Error(w, missing, http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(p.links()); err != nil {
+	if err := enc.Encode(doc()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+func (p *Plane) handleProgress(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, func() any { return p.Tracker.Snapshot() }, "")
+}
+
+func (p *Plane) handleLinks(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, p.links, "no link board attached (run with journeys enabled)")
 }
 
 func (p *Plane) handleRuns(w http.ResponseWriter, _ *http.Request) {
-	if p.runs == nil {
-		http.Error(w, "no run ledger attached (run with -ledger DIR)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p.runs()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, p.runs, "no run ledger attached (run with -ledger DIR)")
 }
 
 func (p *Plane) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	var doc any
-	if p.health != nil {
-		doc = p.health()
-	} else {
+	doc := p.health
+	if doc == nil {
 		// No provider: still identify the process so the dashboard header
 		// works on bare planes (tests, embedders).
-		doc = struct {
-			Enabled bool                   `json:"enabled"`
-			Runtime telemetry.BuildRuntime `json:"runtime"`
-		}{Runtime: telemetry.RuntimeInfo()}
+		doc = func() any {
+			return struct {
+				Enabled bool                   `json:"enabled"`
+				Runtime telemetry.BuildRuntime `json:"runtime"`
+			}{Runtime: telemetry.RuntimeInfo()}
+		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, doc, "")
 }
 
 func (p *Plane) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	if p.alerts == nil {
-		http.Error(w, "no watch engine attached (run with -watch)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p.alerts()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, p.alerts, "no watch engine attached (run with -watch)")
 }
 
 func (p *Plane) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if p.compare == nil {
-		http.Error(w, "no run ledger attached (run with -ledger DIR)", http.StatusNotFound)
-		return
+	var doc func() any
+	if p.compare != nil {
+		refA, refB := r.URL.Query().Get("a"), r.URL.Query().Get("b")
+		if refA == "" {
+			refA = "latest~1"
+		}
+		if refB == "" {
+			refB = "latest"
+		}
+		doc = func() any { return p.compare(refA, refB) }
 	}
-	refA, refB := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	if refA == "" {
-		refA = "latest~1"
-	}
-	if refB == "" {
-		refB = "latest"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p.compare(refA, refB)); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, doc, "no run ledger attached (run with -ledger DIR)")
 }
 
 func (p *Plane) handleHistory(w http.ResponseWriter, _ *http.Request) {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 
+	"rtmac/internal/ring"
 	"rtmac/internal/telemetry"
 )
 
@@ -114,29 +115,24 @@ func (lr *lineReader) readHeader(schema string, maxVersion int) error {
 	return nil
 }
 
-// contextRing keeps the last w raw lines of one side.
-type contextRing struct {
-	lines [][]byte
-	w     int
-}
+// contextRing keeps the last w raw lines of one side; a zero window keeps
+// none.
+type contextRing struct{ ring.Ring[[]byte] }
 
-func newContextRing(w int) *contextRing { return &contextRing{w: w} }
+func newContextRing(w int) *contextRing { return &contextRing{ring.New[[]byte](w)} }
 
+// push copies line into the ring, reusing the evicted line's buffer.
 func (c *contextRing) push(line []byte) {
-	if c.w == 0 {
-		return
+	if c.Cap() > 0 {
+		slot := c.Push()
+		*slot = append((*slot)[:0], line...)
 	}
-	if len(c.lines) == c.w {
-		copy(c.lines, c.lines[1:])
-		c.lines = c.lines[:c.w-1]
-	}
-	c.lines = append(c.lines, append([]byte(nil), line...))
 }
 
 func (c *contextRing) strings() []string {
-	out := make([]string, len(c.lines))
-	for i, l := range c.lines {
-		out[i] = string(l)
+	out := make([]string, c.Len())
+	for i := range out {
+		out[i] = string(*c.At(i))
 	}
 	return out
 }

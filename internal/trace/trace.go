@@ -11,8 +11,8 @@ import (
 	"strings"
 
 	"rtmac/internal/medium"
+	"rtmac/internal/ring"
 	"rtmac/internal/sim"
-	"rtmac/internal/telemetry"
 )
 
 // Record is one completed transmission.
@@ -26,10 +26,8 @@ type Record struct {
 
 // Recorder captures transmissions from a medium into a bounded ring buffer.
 type Recorder struct {
-	capacity int
-	ring     []Record
-	next     int
-	total    int64
+	ring  ring.Ring[Record]
+	total int64
 }
 
 // NewRecorder returns a recorder keeping the most recent capacity records.
@@ -37,7 +35,7 @@ func NewRecorder(capacity int) (*Recorder, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("trace: capacity %d must be positive", capacity)
 	}
-	return &Recorder{capacity: capacity}, nil
+	return &Recorder{ring: ring.New[Record](capacity)}, nil
 }
 
 // Attach registers the recorder as one of the medium's trace hooks.
@@ -54,12 +52,7 @@ func (r *Recorder) Attach(med *medium.Medium) {
 }
 
 func (r *Recorder) add(rec Record) {
-	if len(r.ring) < r.capacity {
-		r.ring = append(r.ring, rec)
-	} else {
-		r.ring[r.next] = rec
-		r.next = (r.next + 1) % r.capacity
-	}
+	*r.ring.Push() = rec
 	r.total++
 }
 
@@ -69,40 +62,12 @@ func (r *Recorder) Total() int64 { return r.total }
 // Snapshot returns the retained transmissions in arrival order, oldest
 // first, regardless of how often the ring has wrapped. The returned slice is
 // a copy and safe to hold across further recording.
-func (r *Recorder) Snapshot() []Record {
-	out := make([]Record, 0, len(r.ring))
-	if len(r.ring) == r.capacity {
-		// Full ring: next points at the oldest surviving record.
-		out = append(out, r.ring[r.next:]...)
-		out = append(out, r.ring[:r.next]...)
-		return out
-	}
-	return append(out, r.ring...)
-}
+func (r *Recorder) Snapshot() []Record { return r.ring.Slice() }
 
 // Records returns the retained transmissions in chronological order. Since
 // records are added as transmissions complete, chronological order is
 // arrival order; Records is Snapshot under its historical name.
 func (r *Recorder) Records() []Record { return r.Snapshot() }
-
-// Emit implements telemetry.Sink: the recorder captures "tx" events from a
-// telemetry event stream exactly as it captures medium trace hooks, so a
-// simulation needs only one instrumentation hook feeding both systems.
-// Events of other kinds are ignored.
-func (r *Recorder) Emit(ev telemetry.Event) {
-	if ev.Kind != telemetry.EventTx {
-		return
-	}
-	r.add(Record{
-		Link:    ev.Link,
-		Start:   ev.At - sim.Time(ev.Fields.Get("dur")),
-		End:     ev.At,
-		Empty:   ev.Fields.Get("empty") != 0,
-		Outcome: medium.Outcome(ev.Fields.Get("outcome")),
-	})
-}
-
-var _ telemetry.Sink = (*Recorder)(nil)
 
 // WriteLog renders the retained records one per line.
 func (r *Recorder) WriteLog(w io.Writer) error {

@@ -7,7 +7,6 @@ import (
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
-	"rtmac/internal/telemetry"
 )
 
 func TestNewRecorderValidation(t *testing.T) {
@@ -243,25 +242,5 @@ func TestSnapshotArrivalOrderAcrossWrap(t *testing.T) {
 		if recs[i] != snap[i] {
 			t.Errorf("Records()[%d] = %+v differs from Snapshot()[%d] = %+v", i, recs[i], i, snap[i])
 		}
-	}
-}
-
-func TestRecorderAsTelemetrySink(t *testing.T) {
-	r, err := NewRecorder(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Emit(telemetry.Event{
-		K: 0, At: 220, Link: 2, Kind: telemetry.EventTx,
-		Fields: telemetry.FieldsOf(map[string]float64{"dur": 120, "empty": 0, "outcome": float64(medium.Lost)}),
-	})
-	r.Emit(telemetry.Event{K: 0, At: 2000, Link: -1, Kind: telemetry.EventInterval}) // ignored
-	recs := r.Snapshot()
-	if len(recs) != 1 {
-		t.Fatalf("records = %d, want 1 (non-tx events ignored)", len(recs))
-	}
-	want := Record{Link: 2, Start: 100, End: 220, Empty: false, Outcome: medium.Lost}
-	if recs[0] != want {
-		t.Errorf("record = %+v, want %+v", recs[0], want)
 	}
 }

@@ -40,6 +40,7 @@ package rtmac
 
 import (
 	"fmt"
+	"math"
 
 	"rtmac/internal/arrival"
 	"rtmac/internal/journey"
@@ -69,14 +70,14 @@ type Link struct {
 
 func (l Link) required() (float64, error) {
 	switch {
-	case l.Required < 0:
-		return 0, fmt.Errorf("rtmac: negative requirement %v", l.Required)
+	case !(l.Required >= 0 && l.Required < math.Inf(1)):
+		return 0, fmt.Errorf("rtmac: requirement %v is not a finite non-negative rate", l.Required)
+	case !(l.DeliveryRatio >= 0 && l.DeliveryRatio <= 1):
+		return 0, fmt.Errorf("rtmac: delivery ratio %v outside [0, 1]", l.DeliveryRatio)
 	case l.Required > 0 && l.DeliveryRatio > 0:
 		return 0, fmt.Errorf("rtmac: set either Required or DeliveryRatio, not both")
 	case l.Required > 0:
 		return l.Required, nil
-	case l.DeliveryRatio < 0 || l.DeliveryRatio > 1:
-		return 0, fmt.Errorf("rtmac: delivery ratio %v outside [0, 1]", l.DeliveryRatio)
 	default:
 		return l.DeliveryRatio * l.Arrivals.proc.Mean(), nil
 	}
@@ -91,6 +92,15 @@ type Fading struct {
 	PGood, PBad          float64
 	GoodToBad, BadToGood float64
 	Period               Time
+}
+
+// validate applies the channel's own Gilbert–Elliott parameter checks, so
+// configurations that NewSimulation rejects are rejected everywhere.
+func (f Fading) validate() error {
+	if err := medium.CheckGilbertElliott(f.PGood, f.PBad, f.GoodToBad, f.BadToGood, f.Period); err != nil {
+		return fmt.Errorf("rtmac: fading: %w", err)
+	}
+	return nil
 }
 
 // Mean returns the stationary mean reliability of the fading model.
@@ -185,6 +195,11 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	}
 	if cfg.Profile.p.Name == "" {
 		return nil, fmt.Errorf("rtmac: no profile configured (use VideoProfile, ControlProfile or CustomProfile)")
+	}
+	if cfg.Fading != nil {
+		if err := cfg.Fading.validate(); err != nil {
+			return nil, err
+		}
 	}
 	n := len(cfg.Links)
 	probs := make([]float64, n)

@@ -693,6 +693,42 @@ func TestFadingChannelConfig(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputsRejected feeds NaN and infinite parameters, which slip
+// through comparisons such as p <= 0 || p > 1, to both entry points that
+// validate a configuration.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name   string
+		mutate func(*rtmac.Config)
+	}{
+		{"success-prob-nan", func(c *rtmac.Config) { c.Links[0].SuccessProb = nan }},
+		{"delivery-ratio-nan", func(c *rtmac.Config) { c.Links[0].DeliveryRatio = nan }},
+		{"required-nan", func(c *rtmac.Config) { c.Links[0].DeliveryRatio, c.Links[0].Required = 0, nan }},
+		{"required-inf", func(c *rtmac.Config) { c.Links[0].DeliveryRatio, c.Links[0].Required = 0, math.Inf(1) }},
+		{"fading-no-transitions", func(c *rtmac.Config) {
+			c.Fading = &rtmac.Fading{PGood: 0.9, PBad: 0.3, Period: rtmac.Millisecond}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := rtmac.Config{
+				Seed:     1,
+				Profile:  rtmac.ControlProfile(),
+				Links:    controlLinks(2, 0.7, 0.5, 0.9),
+				Protocol: rtmac.DBDP(),
+			}
+			tc.mutate(&cfg)
+			if _, err := rtmac.NewSimulation(cfg); err == nil {
+				t.Error("NewSimulation accepted the configuration")
+			}
+			if res, err := rtmac.CheckFeasibility(cfg, 10); err == nil {
+				t.Errorf("CheckFeasibility accepted the configuration: %+v", res)
+			}
+		})
+	}
+}
+
 func TestDelayStatsEndToEnd(t *testing.T) {
 	sim, err := rtmac.NewSimulation(rtmac.Config{
 		Seed:     53,
@@ -703,7 +739,7 @@ func TestDelayStatsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delay, err := sim.EnableDelayStats(100)
+	delay, err := sim.EnableDelay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,8 +774,12 @@ func TestDelayStatsEndToEnd(t *testing.T) {
 	if half := delay.DeadlineShare(0.5); half <= 0 || half > 1 {
 		t.Fatalf("DeadlineShare(0.5) = %v", half)
 	}
-	if _, err := sim.EnableDelayStats(0); err == nil {
-		t.Fatal("zero resolution accepted")
+	if len(delay.Histogram()) != 200 {
+		t.Fatalf("histogram has %d buckets, want 200", len(delay.Histogram()))
+	}
+	// The streaming estimators see the same deliveries as the histogram.
+	if p50 := delay.P50(); !(p50 > 0 && p50 <= delay.P99() && delay.P99() <= float64(maxD)) {
+		t.Fatalf("P² quantiles disordered: p50=%v p99=%v max=%v", p50, delay.P99(), maxD)
 	}
 }
 
