@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet perfbench-check test test-short bench bench-json bench-compare bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover loc clean
+.PHONY: all build vet perfbench-check test test-short bench bench-gate figures figures-quick telemetry-smoke monitor-smoke conflict-smoke serve-smoke journeys-smoke ledger-smoke health-smoke rundiff-smoke watch-smoke fuzz cover loc clean
 
 all: build vet test
 
@@ -27,23 +27,13 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable interval benchmarks: one dated BENCH_<date>.json tracking
-# ns/interval and intervals/sec per protocol across commits.
-bench-json:
-	$(GO) run ./cmd/benchtrend
-
-# Diff two benchtrend reports and fail on a >10% ns/interval regression or
-# any allocs/op growth:
-#   make bench-compare OLD=BENCH_2026-08-01.json NEW=BENCH_2026-08-06.json
-bench-compare:
-	$(GO) run ./cmd/benchtrend -compare $(OLD) $(NEW)
-
-# Performance regression gate: measure the current tree and compare it
-# against the newest committed BENCH_*.json, failing on >10% ns/interval or
-# ANY allocs/op growth on any protocol. CI runs this on every push.
+# Performance gate: a same-host A/B of perfbench's kernel workload, 5 runs of
+# the baseline ref against 5 of the current checkout, decided by the ledger's
+# Welch test plus a 10% median threshold on intervals_per_s and wall_s.
+# BASE defaults to HEAD~1; `make bench-gate BASE=HEAD` gates uncommitted work.
 bench-gate:
-	$(GO) run ./cmd/benchtrend -out /tmp/bench-gate.json
-	$(GO) run ./cmd/benchtrend -compare $$(ls BENCH_*.json | sort | tail -1) /tmp/bench-gate.json
+	$(GO) build -o .bench_build/benchgate ./cmd/benchgate
+	.bench_build/benchgate $(BASE)
 
 # Regenerate every figure of the paper at full fidelity (plus CSVs).
 figures:
@@ -239,6 +229,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzEventJSON -fuzztime=30s -fuzzminimizetime=5s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/ledger
+	$(GO) test -fuzz=FuzzQuery -fuzztime=30s -fuzzminimizetime=5s ./cmd/tracequery
 
 cover:
 	$(GO) test -cover ./...

@@ -1,18 +1,14 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"rtmac/internal/journey"
-	"rtmac/internal/telemetry"
 )
 
 // run is the testable entry point: parses args, executes the query, writes
@@ -21,18 +17,14 @@ func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("tracequery", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		check   = fs.Bool("check", false, "validate every journey and exit 1 on the first malformed span")
-		link    = fs.Int("link", -1, "restrict to one link (-1 = all)")
-		cause   = fs.String("cause", "", "restrict to one terminal cause (e.g. lost-to-collision)")
-		byLink  = fs.Bool("by-link", false, "print a per-link attribution table")
-		n       = fs.Int("print", 0, "pretty-print the first n matching journeys")
-		workers = fs.Int("workers", 1, "parallel decode workers (output is identical for any value)")
+		check  = fs.Bool("check", false, "validate every journey and exit 1 on the first malformed span")
+		link   = fs.Int("link", -1, "restrict to one link (-1 = all)")
+		cause  = fs.String("cause", "", "restrict to one terminal cause (e.g. lost-to-collision)")
+		byLink = fs.Bool("by-link", false, "print a per-link attribution table")
+		n      = fs.Int("print", 0, "pretty-print the first n matching journeys")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
-	}
-	if *workers < 1 {
-		return 2, fmt.Errorf("-workers %d must be at least 1", *workers)
 	}
 	if *cause != "" && !journey.ValidCause(*cause) {
 		return 2, fmt.Errorf("unknown cause %q (one of %s)", *cause, strings.Join(journey.Causes(), ", "))
@@ -43,14 +35,14 @@ func run(args []string, stdout io.Writer) (int, error) {
 	}
 	defer in.Close()
 
-	js, base, err := decodeParallel(in, *workers)
+	js, err := journey.Decode(in)
 	if err != nil {
 		return 1, fmt.Errorf("%s: %w", name, err)
 	}
 	if *check {
 		for i := range js {
 			if err := js[i].Validate(); err != nil {
-				return 1, fmt.Errorf("%s: line %d: %w", name, base+i+1, err)
+				return 1, fmt.Errorf("%s: line %d: %w", name, js[i].Line(), err)
 			}
 		}
 		fmt.Fprintf(stdout, "ok: %d journeys, all spans valid\n", len(js))
@@ -92,69 +84,6 @@ func openInput(args []string) (io.ReadCloser, string, error) {
 	return f, args[0], nil
 }
 
-// decodeParallel splits the stream into lines and decodes them across
-// workers sharded by line index; results land at their line's slot, so the
-// order (and everything derived from it) is independent of the worker count.
-// The returned base is the count of header lines dropped from the front, so
-// callers can report original 1-based line numbers.
-func decodeParallel(r io.Reader, workers int) ([]journey.Journey, int, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	lines := bytes.Split(raw, []byte("\n"))
-	// Drop trailing blank lines (the stream is newline-terminated).
-	for len(lines) > 0 && len(bytes.TrimSpace(lines[len(lines)-1])) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	// A leading schema header (written by the tracer) is validated and
-	// dropped; base keeps error messages pointing at original line numbers.
-	base := 0
-	if len(lines) > 0 {
-		if h, ok := telemetry.ParseHeader(lines[0]); ok {
-			if err := h.Check(telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion); err != nil {
-				return nil, 0, fmt.Errorf("line 1: %w", err)
-			}
-			lines = lines[1:]
-			base = 1
-		}
-	}
-	js := make([]journey.Journey, len(lines))
-	if workers > len(lines) && len(lines) > 0 {
-		workers = len(lines)
-	}
-	type decodeErr struct {
-		line int
-		err  error
-	}
-	errs := make([]decodeErr, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(lines); i += workers {
-				if err := json.Unmarshal(lines[i], &js[i]); err != nil && errs[w].err == nil {
-					errs[w] = decodeErr{line: base + i + 1, err: err}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Report the earliest failing line regardless of which worker hit it, so
-	// the diagnosis does not depend on the worker count either.
-	var first decodeErr
-	for _, e := range errs {
-		if e.err != nil && (first.err == nil || e.line < first.line) {
-			first = e
-		}
-	}
-	if first.err != nil {
-		return nil, 0, fmt.Errorf("line %d: %w", first.line, first.err)
-	}
-	return js, base, nil
-}
-
 func filter(js []journey.Journey, link int, cause string) []journey.Journey {
 	if link < 0 && cause == "" {
 		return js
@@ -177,7 +106,7 @@ func writeSummary(w io.Writer, js []journey.Journey) {
 	var agg journey.Attribution
 	var delays []int64
 	for i := range js {
-		agg = tally(agg, &js[i])
+		agg.Add(js[i].Cause)
 		if js[i].Cause == journey.CauseDelivered {
 			delays = append(delays, int64(js[i].Delay))
 		}
@@ -193,21 +122,24 @@ func writeSummary(w io.Writer, js []journey.Journey) {
 	}
 }
 
-// writeByLink prints one attribution row per link, plus a total row.
+// writeByLink prints one attribution row per link that occurs, in link
+// order, plus a total row.
 func writeByLink(w io.Writer, js []journey.Journey) {
 	perLink := map[int]journey.Attribution{}
-	maxLink := -1
 	for i := range js {
-		l := js[i].Link
-		perLink[l] = tally(perLink[l], &js[i])
-		if l > maxLink {
-			maxLink = l
-		}
+		a := perLink[js[i].Link]
+		a.Add(js[i].Cause)
+		perLink[js[i].Link] = a
 	}
+	links := make([]int, 0, len(perLink))
+	for l := range perLink {
+		links = append(links, l)
+	}
+	sort.Ints(links)
 	fmt.Fprintf(w, "%-6s %8s %10s %8s %8s %8s %8s\n",
 		"link", "total", "delivered", "expired", "channel", "collide", "starved")
 	var total journey.Attribution
-	for l := 0; l <= maxLink; l++ {
+	for _, l := range links {
 		a := perLink[l]
 		total.Merge(a)
 		fmt.Fprintf(w, "%-6d %8d %10d %8d %8d %8d %8d\n",
@@ -255,26 +187,6 @@ func writeJourney(w io.Writer, j *journey.Journey) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// tally folds one journey into an attribution (value-typed helper for maps).
-func tally(a journey.Attribution, j *journey.Journey) journey.Attribution {
-	var one journey.Attribution
-	one.Total = 1
-	switch j.Cause {
-	case journey.CauseDelivered:
-		one.Delivered = 1
-	case journey.CauseExpiredInQueue:
-		one.ExpiredInQueue = 1
-	case journey.CauseLostToChannel:
-		one.LostToChannel = 1
-	case journey.CauseLostToCollision:
-		one.LostToCollision = 1
-	case journey.CauseNeverWonContention:
-		one.NeverWon = 1
-	}
-	a.Merge(one)
-	return a
 }
 
 // pct returns the p-th percentile of sorted values by the nearest-rank rule.

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // fixedJourneys runs a small deterministic DBDP simulation and returns its
 // journeys JSONL stream. Any change to protocol decisions, RNG derivation or
 // the journey codec shows up as a golden diff downstream.
-func fixedJourneys(t *testing.T) []byte {
+func fixedJourneys(t testing.TB) []byte {
 	t.Helper()
 	// Deliberately overloaded (12 links at p = 0.5 need ~22 slot-equivalents
 	// per ~16-slot interval), so the golden output exercises the miss causes,
@@ -55,16 +57,22 @@ func fixedJourneys(t *testing.T) []byte {
 	return out.Bytes()
 }
 
-// runQuery executes tracequery's entry point over in-memory input via a temp
-// file and returns its stdout.
-func runQuery(t *testing.T, input []byte, args ...string) (string, int) {
+// writeInput stores input in a temp file and returns its path.
+func writeInput(t *testing.T, input []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "journeys.jsonl")
 	if err := os.WriteFile(path, input, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// runQuery executes tracequery's entry point over in-memory input via a temp
+// file and returns its stdout.
+func runQuery(t *testing.T, input []byte, args ...string) (string, int) {
+	t.Helper()
 	var out bytes.Buffer
-	code, err := run(append(args, path), &out)
+	code, err := run(append(args, writeInput(t, input)), &out)
 	if code == 0 && err != nil {
 		t.Fatalf("exit 0 with error: %v", err)
 	}
@@ -72,8 +80,7 @@ func runQuery(t *testing.T, input []byte, args ...string) (string, int) {
 }
 
 // TestGoldenOutput pins tracequery's exact output for a fixed seed, for the
-// summary, per-link and pretty-print views — and proves the parallel decode
-// is byte-deterministic across worker counts.
+// summary, per-link and pretty-print views.
 func TestGoldenOutput(t *testing.T) {
 	input := fixedJourneys(t)
 	views := map[string][]string{
@@ -83,7 +90,7 @@ func TestGoldenOutput(t *testing.T) {
 	}
 	for name, args := range views {
 		t.Run(name, func(t *testing.T) {
-			got, code := runQuery(t, input, append([]string{"-workers", "1"}, args...)...)
+			got, code := runQuery(t, input, args...)
 			if code != 0 {
 				t.Fatalf("exit %d", code)
 			}
@@ -105,15 +112,6 @@ func TestGoldenOutput(t *testing.T) {
 				t.Fatalf("golden mismatch for %s.\nGot:\n%s\nWant:\n%s\n"+
 					"(intentional behaviour change? regenerate with -update)", name, got, want)
 			}
-
-			// The same query with 8 workers must be byte-identical.
-			wide, code := runQuery(t, input, append([]string{"-workers", "8"}, args...)...)
-			if code != 0 {
-				t.Fatalf("workers=8 exit %d", code)
-			}
-			if wide != got {
-				t.Fatalf("output differs between workers=1 and workers=8 for %s", name)
-			}
 		})
 	}
 }
@@ -128,19 +126,39 @@ func TestCheckMode(t *testing.T) {
 		t.Fatalf("unexpected check output: %q", out)
 	}
 
-	// A malformed line fails with exit 1 regardless of worker count.
+	// A malformed line fails with exit 1.
 	broken := append([]byte("this is not json\n"), input...)
 	if _, code := runQuery(t, broken, "-check"); code != 1 {
 		t.Fatalf("malformed line accepted (exit %d)", code)
 	}
-	if _, code := runQuery(t, broken, "-check", "-workers", "8"); code != 1 {
-		t.Fatalf("malformed line accepted with workers=8 (exit %d)", code)
+
+	// Blank lines are skipped, as rtmac.DecodeJourneys skips them, and
+	// errors still name the original line, counting the header and the
+	// blank line.
+	lines := bytes.SplitAfter(input, []byte("\n"))
+	blank := bytes.Join([][]byte{lines[0], lines[1], []byte("\n"), bytes.Join(lines[2:], nil)}, nil)
+	js, err := rtmac.DecodeJourneys(bytes.NewReader(blank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, code := runQuery(t, blank, "-check"); code != 0 ||
+		!strings.Contains(out, fmt.Sprintf("ok: %d journeys", len(js))) {
+		t.Fatalf("blank line: exit %d, %q; want %d journeys", code, out, len(js))
+	}
+	bad := bytes.Join([][]byte{lines[0], lines[1], []byte("\n"), []byte("{\n"), bytes.Join(lines[2:], nil)}, nil)
+	if _, err := run([]string{"-check", writeInput(t, bad)}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "line 4:") {
+		t.Fatalf("malformed line 4 reported as %v", err)
 	}
 
 	// A structurally invalid span (valid JSON, broken invariants) also fails.
 	invalid := []byte(`{"seq":0,"k":0,"link":0,"idx":0,"arrived":0,"deadline":100,"cause":"delivered"}` + "\n")
 	if _, code := runQuery(t, invalid, "-check"); code != 1 {
 		t.Fatal("invalid span accepted by -check")
+	}
+	if _, err := run([]string{"-check", writeInput(t, append([]byte("\n"), invalid...))}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "line 2:") {
+		t.Fatalf("invalid span on line 2 reported as %v", err)
 	}
 }
 
@@ -165,9 +183,6 @@ func TestUsageErrors(t *testing.T) {
 	if _, code := runQuery(t, input, "-cause", "gremlins"); code != 2 {
 		t.Fatal("unknown cause accepted")
 	}
-	if _, code := runQuery(t, input, "-workers", "0"); code != 2 {
-		t.Fatal("workers 0 accepted")
-	}
 	var out bytes.Buffer
 	if code, _ := run([]string{"a.jsonl", "b.jsonl"}, &out); code != 2 {
 		t.Fatal("two positional files accepted")
@@ -188,4 +203,53 @@ func TestEmptyInput(t *testing.T) {
 	if out2, code := runQuery(t, nil, "-check"); code != 0 || !strings.Contains(out2, "0 journeys") {
 		t.Fatalf("empty check failed: exit %d, %q", code, out2)
 	}
+}
+
+// TestByLinkSparseLinks pins one row per link that occurs: a huge link id
+// prints one row, not one per integer below it, and a negative one is
+// listed and counted in the all row.
+func TestByLinkSparseLinks(t *testing.T) {
+	input := []byte(`{"seq":0,"k":0,"link":3000000,"idx":0,"arrived":0,"deadline":100,"cause":"expired-in-queue"}
+{"seq":1,"k":0,"link":-4,"idx":0,"arrived":0,"deadline":100,"cause":"expired-in-queue"}
+`)
+	out, code := runQuery(t, input, "-by-link")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	rows := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(rows) != 4 || !strings.HasPrefix(rows[1], "-4 ") ||
+		!strings.HasPrefix(rows[2], "3000000 ") || !strings.HasPrefix(rows[3], "all           2 ") {
+		t.Fatalf("by-link rows:\n%s", out)
+	}
+}
+
+// FuzzQuery runs every view over arbitrary bytes: tracequery never panics,
+// exits 0 or 1, and the per-link view prints at most one row per decoded
+// journey plus its header and total rows.
+func FuzzQuery(f *testing.F) {
+	// The header and first four journeys of a recorded stream keep the seeds
+	// small enough for the fuzzer to minimize what it finds.
+	lines := bytes.SplitAfter(fixedJourneys(f), []byte("\n"))[:5]
+	f.Add(bytes.Join(lines, nil))
+	f.Add(bytes.Join([][]byte{lines[0], lines[1], []byte("\n"), bytes.Join(lines[2:], nil)}, nil))
+	f.Add([]byte(`{"seq":0,"k":0,"link":3000000,"idx":0,"arrived":0,"deadline":100,"cause":"delivered"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := writeInput(t, data)
+		journeys := -1
+		if js, err := rtmac.DecodeJourneys(bytes.NewReader(data)); err == nil {
+			journeys = len(js)
+		}
+		for _, args := range [][]string{nil, {"-by-link"}, {"-check"}} {
+			var out bytes.Buffer
+			code, _ := run(append(args, path), &out)
+			if code != 0 && code != 1 {
+				t.Fatalf("%v: exit %d", args, code)
+			}
+			if len(args) == 1 && args[0] == "-by-link" && code == 0 {
+				if n := strings.Count(out.String(), "\n"); n > journeys+2 {
+					t.Fatalf("-by-link printed %d lines for %d journeys", n, journeys)
+				}
+			}
+		}
+	})
 }

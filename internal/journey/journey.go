@@ -111,9 +111,15 @@ type Journey struct {
 
 	// roundsAtDone is the number of link rounds recorded at the delivery
 	// instant, so a delivered journey is rendered with the rounds that
-	// preceded it rather than the whole interval's.
-	roundsAtDone int
+	// preceded it rather than the whole interval's. It and line are int32 so
+	// the struct stays in the 144-byte allocation size class.
+	roundsAtDone int32
+	line         int32
 }
+
+// Line returns the 1-based line of the stream Decode read the journey from,
+// counting the schema header; 0 for a journey that was not decoded.
+func (j *Journey) Line() int { return int(j.line) }
 
 // classify attributes an expired packet's deadline miss. Exhaustive and
 // exclusive by construction: attempts dominate (the last one names the loss
@@ -270,7 +276,7 @@ func (a *Attribution) Merge(b Attribution) {
 }
 
 // Decode parses a journeys JSONL stream (one Journey per line, as written by
-// the Tracer), stopping at the first malformed line.
+// the Tracer), skipping blank lines and stopping at the first malformed one.
 func Decode(r io.Reader) ([]Journey, error) {
 	return decodeAll(r)
 }

@@ -2,6 +2,7 @@ package journey
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -212,7 +213,7 @@ func (t *Tracer) ObserveTx(link, head int, start, end sim.Time, empty bool, outc
 		j.Cause = CauseDelivered
 		j.DoneAt = end
 		j.Delay = end - j.Arrived
-		j.roundsAtDone = len(t.rounds[link])
+		j.roundsAtDone = int32(len(t.rounds[link]))
 	}
 }
 
@@ -387,33 +388,40 @@ func (t *Tracer) putJourney(j *Journey) {
 	t.free = append(t.free, j)
 }
 
-// decodeAll parses a journeys JSONL stream, stopping at the first malformed
-// line. A leading schema header (written by the tracer) is validated and
-// skipped; headerless legacy streams decode as before.
+// decodeAll parses a journeys JSONL stream line by line, stopping at the
+// first malformed line; blank lines are skipped. A leading schema header
+// (written by the tracer) is validated and skipped; headerless legacy
+// streams decode as before. Line numbers count from 1 and include the
+// header, both in errors and in each journey's Line.
 func decodeAll(r io.Reader) ([]Journey, error) {
-	dec := json.NewDecoder(r)
+	br := bufio.NewReader(r)
 	var out []Journey
 	first := true
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("journey: decode journey %d: %w", len(out), err)
+	for line := 1; ; line++ {
+		raw, readErr := br.ReadBytes('\n')
+		if readErr != nil && readErr != io.EOF {
+			return out, fmt.Errorf("journey: line %d: %w", line, readErr)
 		}
-		if first {
+		raw = bytes.TrimSpace(raw)
+		if len(raw) > 0 && first {
 			first = false
 			if h, ok := telemetry.ParseHeader(raw); ok {
 				if err := h.Check(telemetry.JourneyStreamSchema, telemetry.JourneyStreamVersion); err != nil {
-					return nil, fmt.Errorf("journey: %w", err)
+					return nil, fmt.Errorf("journey: line %d: %w", line, err)
 				}
-				continue
+				raw = nil
 			}
 		}
-		var j Journey
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return out, fmt.Errorf("journey: decode journey %d: %w", len(out), err)
+		if len(raw) > 0 {
+			var j Journey
+			if err := json.Unmarshal(raw, &j); err != nil {
+				return out, fmt.Errorf("journey: line %d: %w", line, err)
+			}
+			j.line = int32(line)
+			out = append(out, j)
 		}
-		out = append(out, j)
+		if readErr == io.EOF {
+			return out, nil
+		}
 	}
 }

@@ -199,7 +199,7 @@ func comparePoint(op, np Point, opts DiffOptions) (PointVerdict, error) {
 		// Identical means with no testable spread: unchanged.
 	default:
 		// Too few replications (or zero spread) for a t-test: fall back to a
-		// relative-delta threshold, like benchtrend -compare.
+		// relative-delta threshold.
 		v.Significant = math.Abs(v.RelDelta) > opts.RelThreshold ||
 			(oldSum.Mean == 0 && v.Delta != 0 && math.Abs(v.Delta) > 1e-12)
 		if v.Significant && worse {

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -50,8 +51,8 @@ type Record struct {
 	// Schema is the record layout version (RecordSchema).
 	Schema int `json:"schema"`
 	// Kind classifies the producer: "figures" (experiment sweeps), "run"
-	// (one rtmacsim simulation), "bench" (imported benchtrend report), or
-	// "merged" (output of Merge).
+	// (one rtmacsim simulation), "perfbench" (one side of benchgate's
+	// in-memory A/B), or "merged" (output of Merge).
 	Kind string `json:"kind"`
 	// Scenario is a human-readable workload description.
 	Scenario string `json:"scenario,omitempty"`
@@ -70,14 +71,14 @@ type Record struct {
 // replication-multiset partial, an optional delivery-delay sketch partial,
 // and a display summary derived from the partial.
 type Point struct {
-	// Figure groups points ("fig3", "run", "bench").
+	// Figure groups points ("fig3", "run", "perfbench").
 	Figure string `json:"figure"`
 	// Series labels the curve within the figure (usually the protocol).
 	Series string `json:"series"`
 	// X is the sweep coordinate (arrival rate, delivery ratio, link index).
 	X float64 `json:"x"`
 	// Metric names the headline quantity ("deficiency", "delivery_ratio",
-	// "ns_per_interval").
+	// "wall_s").
 	Metric string `json:"metric"`
 	// Better is the improvement direction: BetterLower or BetterHigher.
 	Better string `json:"better"`
@@ -339,12 +340,15 @@ func (s *Store) List() ([]IndexEntry, error) {
 // ID, a unique ID prefix (at least 4 hex chars), or "latest" (optionally
 // "latest~N" for the N-th newest).
 func (s *Store) Resolve(ref string) (string, error) {
-	if ref == "latest" || strings.HasPrefix(ref, "latest~") {
+	if rest, ok := strings.CutPrefix(ref, "latest"); ok {
 		back := 0
-		if strings.HasPrefix(ref, "latest~") {
-			if _, err := fmt.Sscanf(ref, "latest~%d", &back); err != nil || back < 0 {
+		if rest != "" {
+			digits, ok := strings.CutPrefix(rest, "~")
+			n, err := strconv.Atoi(digits)
+			if !ok || err != nil || strings.Trim(digits, "0123456789") != "" {
 				return "", fmt.Errorf("ledger: bad reference %q", ref)
 			}
+			back = n
 		}
 		entries, err := s.List()
 		if err != nil {

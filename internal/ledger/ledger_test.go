@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"rtmac/internal/stats"
@@ -112,6 +110,27 @@ func TestStoreResolve(t *testing.T) {
 	}
 	if _, err := store.Resolve("ffffffff"); err == nil {
 		t.Fatal("unknown reference resolved")
+	}
+	for _, tc := range []struct {
+		ref  string
+		want string // "" means the reference must be rejected
+	}{
+		{"latest", idB},
+		{"latest~1", idA},
+		{"latest~1zz", ""},
+		{"latest~", ""},
+		{"latest~-1", ""},
+		{"latest~+1", ""},
+		{"latest~1 2", ""},
+		{"latest~2", ""},
+	} {
+		got, err := store.Resolve(tc.ref)
+		if tc.want == "" && err == nil {
+			t.Errorf("%q resolved to %q, want an error", tc.ref, got)
+		}
+		if tc.want != "" && (err != nil || got != tc.want) {
+			t.Errorf("%q -> %q, %v; want %q", tc.ref, got, err, tc.want)
+		}
 	}
 }
 
@@ -415,43 +434,6 @@ func TestBuildHistory(t *testing.T) {
 		if len(tr.Values) != 2 {
 			t.Fatalf("trajectory %s/%s has %d samples, want 2", tr.Series, tr.Metric, len(tr.Values))
 		}
-	}
-}
-
-func TestImportBench(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_2026-01-01.json")
-	doc := `{
-  "date": "2026-01-01", "go_version": "go1.22.0", "goos": "linux",
-  "goarch": "amd64", "num_cpu": 8, "benchtime": "1s", "scenario": "control",
-  "results": [
-    {"protocol": "DB-DP", "iterations": 100, "ns_per_interval": 9000,
-     "allocs_per_op": 0, "bytes_per_op": 0, "intervals_per_sec": 111111},
-    {"protocol": "LDF", "iterations": 120, "ns_per_interval": 7000,
-     "allocs_per_op": 2, "bytes_per_op": 64, "intervals_per_sec": 142857}
-  ]
-}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := ImportBench(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Kind != "bench" || len(rec.Points) != 4 {
-		t.Fatalf("imported kind=%q points=%d, want bench/4", rec.Kind, len(rec.Points))
-	}
-	if rec.Manifest == nil || rec.Manifest.Tool != "benchtrend" {
-		t.Fatal("imported record missing benchtrend manifest")
-	}
-	var ns float64
-	for _, p := range rec.Points {
-		if p.Series == "DB-DP" && p.Metric == "ns_per_interval" {
-			ns = p.Summary.Mean
-		}
-	}
-	if ns != 9000 {
-		t.Fatalf("DB-DP ns_per_interval %v, want 9000", ns)
 	}
 }
 
