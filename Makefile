@@ -228,6 +228,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzValidatePrometheus -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=30s ./internal/telemetry
 	$(GO) test -fuzz=FuzzEventJSON -fuzztime=30s -fuzzminimizetime=5s ./internal/telemetry
+	$(GO) test -fuzz=FuzzDecoderDifferential -fuzztime=30s -fuzzminimizetime=5s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/ledger
 	$(GO) test -fuzz=FuzzQuery -fuzztime=30s -fuzzminimizetime=5s ./cmd/tracequery
 

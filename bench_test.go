@@ -360,23 +360,39 @@ func BenchmarkJSONLEmit(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeEvents times the two decode paths per event: Next over a
+// recorded stream (rtmac.DecodeEvents, watch replay, -checkevents) and Decode
+// over the same events as SSE data payloads (rtmacwatch -tail).
 func BenchmarkDecodeEvents(b *testing.B) {
 	data := benchStream(b)
-	dec := telemetry.NewDecoder(bytes.NewReader(data))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := dec.Next()
-		if err == io.EOF {
-			b.StopTimer()
-			dec = telemetry.NewDecoder(bytes.NewReader(data))
-			b.StartTimer()
-			_, err = dec.Next()
+	b.Run("Next", func(b *testing.B) {
+		dec := telemetry.NewDecoder(bytes.NewReader(data))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, err := dec.Next()
+			if err == io.EOF {
+				b.StopTimer()
+				dec = telemetry.NewDecoder(bytes.NewReader(data))
+				b.StartTimer()
+				_, err = dec.Next()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
-		if err != nil {
-			b.Fatal(err)
+	})
+	b.Run("Decode", func(b *testing.B) {
+		payloads := bytes.Split(bytes.TrimSpace(data), []byte("\n"))[1:] // drop the header
+		var dec telemetry.Decoder
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := dec.Decode(payloads[i%len(payloads)]); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // Example of using the benchmark harness programmatically.

@@ -142,7 +142,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 }
 
 // detectMode probes a file to classify it: a schema header names the stream
-// outright; otherwise the extension and first line decide.
+// outright; otherwise the extension and first non-blank line decide.
 func detectMode(path string) (string, error) {
 	if strings.HasSuffix(path, ".csv") {
 		return "csv", nil
@@ -154,7 +154,8 @@ func detectMode(path string) (string, error) {
 	defer f.Close()
 	buf := make([]byte, 512)
 	n, _ := io.ReadFull(f, buf)
-	line := buf[:n]
+	// Leading whitespace and blank lines are skipped, as the readers do.
+	line := bytes.TrimLeft(buf[:n], " \t\r\n")
 	if i := bytes.IndexByte(line, '\n'); i >= 0 {
 		line = line[:i]
 	}

@@ -1,10 +1,12 @@
 package rtmac_test
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
 	"rtmac"
+	"rtmac/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------------
@@ -194,6 +196,75 @@ func TestHotPathZeroAllocStream(t *testing.T) {
 			if err := stream.Flush(); err != nil {
 				t.Fatal(err)
 			}
+		}
+	})
+}
+
+// TestDecoderZeroAlloc holds the event decoder to the same contract once
+// warm: Next over recorded control and two-clique streams (prio and conflict
+// payloads included) and Decode over the control events as SSE payloads
+// allocate nothing per event. One stream carries a line the hand-written path
+// does not take — an alert whose msg AppendJSON escapes — in the middle of
+// the measured stretch; decoding must return to that path after it.
+func TestDecoderZeroAlloc(t *testing.T) {
+	record := func(s *rtmac.Simulation) []byte {
+		var buf bytes.Buffer
+		stream := s.StreamEvents(&buf)
+		if err := s.Run(300); err != nil {
+			t.Fatal(err)
+		}
+		if err := stream.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	control := record(newHotPathSim(t, rtmac.DBDP()))
+	twoClique := record(newHotPathSimConflicts(t, rtmac.DBDP(), hotPathConflicts(t)))
+	alert, err := telemetry.Event{K: 150, At: 300000, Link: 3, Kind: telemetry.EventAlert,
+		Check: "burn_rate", Msg: "miss rate 0.2 > budget 0.1"}.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(control, []byte("\n"))
+	mid := len(lines) / 2
+	escaped := bytes.Join([][]byte{bytes.Join(lines[:mid], nil), alert, []byte("\n"), bytes.Join(lines[mid:], nil)}, nil)
+
+	for name, data := range map[string][]byte{"control": control, "two-clique": twoClique, "escaped-alert": escaped} {
+		t.Run("Next/"+name, func(t *testing.T) {
+			events := bytes.Count(data, []byte("\n")) - 1 // the header is no event
+			warm := events / 4
+			dec := telemetry.NewDecoder(bytes.NewReader(data))
+			for i := 0; i < warm; i++ {
+				if _, err := dec.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// AllocsPerRun makes one extra call before it measures.
+			allocs := testing.AllocsPerRun(events-warm-1, func() {
+				if _, err := dec.Next(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%.1f allocs per decoded event, want 0", allocs)
+			}
+			if _, err := dec.Next(); err != io.EOF {
+				t.Errorf("after the last event: %v, want EOF", err)
+			}
+		})
+	}
+	t.Run("Decode/control", func(t *testing.T) {
+		payloads := bytes.Split(bytes.TrimSpace(control), []byte("\n"))[1:]
+		var dec telemetry.Decoder
+		i := 0
+		allocs := testing.AllocsPerRun(len(payloads)-1, func() {
+			if _, err := dec.Decode(payloads[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%.1f allocs per decoded payload, want 0", allocs)
 		}
 	})
 }

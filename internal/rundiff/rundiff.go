@@ -53,6 +53,7 @@ type lineReader struct {
 	r      *bufio.Reader
 	lineNo int64 // 1-based number of the last line returned
 	header *telemetry.StreamHeader
+	long   []byte // a line longer than the read buffer, assembled
 }
 
 func newLineReader(r io.Reader) *lineReader {
@@ -63,7 +64,15 @@ func newLineReader(r io.Reader) *lineReader {
 // ok = false at end of stream.
 func (lr *lineReader) next() (line []byte, ok bool, err error) {
 	for {
-		raw, err := lr.r.ReadBytes('\n')
+		raw, err := lr.r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			lr.long = append(lr.long[:0], raw...)
+			for err == bufio.ErrBufferFull {
+				raw, err = lr.r.ReadSlice('\n')
+				lr.long = append(lr.long, raw...)
+			}
+			raw = lr.long
+		}
 		if len(raw) == 0 {
 			if err == io.EOF {
 				return nil, false, nil
@@ -85,31 +94,44 @@ func (lr *lineReader) next() (line []byte, ok bool, err error) {
 }
 
 // readHeader consumes a leading schema header when present, validating it
-// against the expected schema. Headerless legacy streams pass through.
+// against the expected schema. Headerless legacy streams pass through. As
+// telemetry.Decoder does, it looks past leading whitespace and blank lines,
+// which count towards the line numbers.
 func (lr *lineReader) readHeader(schema string, maxVersion int) error {
-	peek, err := lr.r.Peek(1)
-	if err != nil {
-		return nil // empty stream; the differ reports it as such
-	}
-	if peek[0] != '{' {
-		return nil
+	for {
+		peek, err := lr.r.Peek(1)
+		if err != nil {
+			return nil // empty stream; the differ reports it as such
+		}
+		c := peek[0]
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			break
+		}
+		if c == '\n' {
+			lr.lineNo++
+		}
+		lr.r.Discard(1)
 	}
 	// Peek a bounded prefix to probe for a header without consuming.
-	buf, _ := lr.r.Peek(256)
+	buf, err := lr.r.Peek(256)
 	nl := bytes.IndexByte(buf, '\n')
-	if nl < 0 {
+	if nl < 0 && err == nil {
 		// First line longer than the probe window: headers are tiny, so this
 		// is a data line.
 		return nil
 	}
-	h, ok := telemetry.ParseHeader(buf[:nl])
+	line := buf
+	if nl >= 0 {
+		line = buf[:nl+1]
+	}
+	h, ok := telemetry.ParseHeader(line)
 	if !ok {
 		return nil
 	}
 	if err := h.Check(schema, maxVersion); err != nil {
 		return err
 	}
-	lr.r.Discard(nl + 1)
+	lr.r.Discard(len(line))
 	lr.lineNo++
 	lr.header = &h
 	return nil

@@ -253,3 +253,61 @@ func TestHeadersExcludedFromComparison(t *testing.T) {
 		t.Errorf("events %d, want 1", d.Events)
 	}
 }
+
+// TestHeaderAfterLeadingWhitespace: the header probe looks past leading
+// whitespace and blank lines as telemetry.Decoder does, so an unsupported
+// header there is refused and a supported one is not compared as data.
+func TestHeaderAfterLeadingWhitespace(t *testing.T) {
+	future := "\n" + `{"schema":"rtmac.events","schema_version":99}` + "\n" +
+		`{"k":0,"t":10,"link":0,"kind":"tx","f":{"dur":500}}` + "\n"
+	if d, err := DiffEvents(strings.NewReader(future), strings.NewReader(future), Options{}); err == nil {
+		t.Errorf("future schema version after a blank line accepted: %+v", d)
+	}
+	futureJ := " \r\n" + `{"schema":"rtmac.journeys","schema_version":99}` + "\n" +
+		jline(0, 0, 0, journey.CauseDelivered, 300)
+	if _, err := DiffJourneys(strings.NewReader(futureJ), strings.NewReader(futureJ), Options{}); err == nil {
+		t.Error("future journeys schema version after a blank line accepted")
+	}
+
+	body := `{"k":0,"t":10,"link":-1,"kind":"interval","f":{"arrivals":3}}` + "\n" +
+		`{"k":1,"t":20,"link":2,"kind":"tx","f":{"dur":500}}` + "\n"
+	d, err := DiffEvents(strings.NewReader(" "+eventsHeader+body), strings.NewReader(eventsHeader+body), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Equal || d.Events != 2 {
+		t.Fatalf("space before the header: equal=%v events=%d, divergence %+v", d.Equal, d.Events, d.Divergence)
+	}
+
+	// Skipped blank lines still count towards the editor line numbers.
+	changed := strings.Replace(body, `"dur":500`, `"dur":600`, 1)
+	d, err = DiffEvents(strings.NewReader("\n \n"+eventsHeader+body), strings.NewReader(eventsHeader+changed), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Equal || d.Divergence.Index != 1 || d.Divergence.LineA != 5 || d.Divergence.LineB != 3 {
+		t.Fatalf("divergence %+v, want index 1 at lines 5 and 3", d.Divergence)
+	}
+}
+
+// TestDiffEventsLongLine: lines longer than the read buffer compare whole.
+func TestDiffEventsLongLine(t *testing.T) {
+	long := `{"k":0,"t":10,"link":-1,"kind":"violation","check":"c","msg":"` + strings.Repeat("x", 150<<10) + `"}` + "\n"
+	tail := `{"k":1,"t":20,"link":2,"kind":"tx","f":{"dur":500}}` + "\n"
+	a := eventsHeader + long + tail
+	d, err := DiffEvents(strings.NewReader(a), strings.NewReader(a), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Equal || d.Events != 2 {
+		t.Fatalf("identical long-line streams: equal=%v events=%d", d.Equal, d.Events)
+	}
+	b := eventsHeader + strings.Replace(long, "xxx\"", "xxy\"", 1) + tail
+	d, err = DiffEvents(strings.NewReader(a), strings.NewReader(b), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Equal || d.Divergence.Index != 0 || d.Divergence.LineA != 2 || len(d.Divergence.RawB) != len(long)-1 {
+		t.Fatalf("long-line divergence %+v", d.Divergence)
+	}
+}

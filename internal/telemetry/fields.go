@@ -68,20 +68,31 @@ func internSorted(names []string, buf []byte) (*Keys, []byte) {
 		buf = binary.AppendUvarint(buf, uint64(len(n)))
 		buf = append(buf, n...)
 	}
+	return internSig(buf), buf
+}
+
+// internSig returns the schema interned under table key sig (the
+// length-prefixed sorted names), building it from the names sig spells the
+// first time. The lookup allocates nothing once the schema exists.
+func internSig(sig []byte) *Keys {
 	intern.Lock()
 	defer intern.Unlock()
-	k := intern.m[string(buf)]
+	k := intern.m[string(sig)]
 	if k == nil {
-		k = &Keys{names: slices.Clone(names), encStart: make([]int, 0, len(names)+1)}
-		for _, n := range k.names {
+		k = &Keys{}
+		for rest := sig; len(rest) > 0; {
+			n, w := binary.Uvarint(rest)
+			name := string(rest[w : w+int(n)])
+			rest = rest[w+int(n):]
+			k.names = append(k.names, name)
 			k.encStart = append(k.encStart, len(k.enc))
-			k.enc = appendString(k.enc, n)
+			k.enc = appendString(k.enc, name)
 			k.enc = append(k.enc, ':')
 		}
 		k.encStart = append(k.encStart, len(k.enc))
-		intern.m[string(buf)] = k
+		intern.m[string(sig)] = k
 	}
-	return k, buf
+	return k
 }
 
 // NewKeys interns a static schema. The names must be given in byte order
