@@ -128,8 +128,8 @@ journeys-smoke:
 # (they are the same statistics), and a deliberately degraded rtmacsim run
 # (-p 0.45 against a 0.7 baseline) must trip the sentinel non-zero. `equal`
 # must also fail on the seed-101 record versus the two-seed record, with exit
-# code 1 exactly (2 is a usage or I/O error); `go run` flattens exit codes to
-# 1, so that check runs a built ledgerctl.
+# code 1 exactly (2 is a usage or I/O error), and so must the degraded diff;
+# `go run` flattens exit codes to 1, so those checks run a built ledgerctl.
 ledger-smoke:
 	rm -rf /tmp/rtmac-ledger
 	$(GO) build -o /tmp/rtmac-ledgerctl ./cmd/ledgerctl
@@ -143,7 +143,7 @@ ledger-smoke:
 	$(GO) run ./cmd/ledgerctl -dir /tmp/rtmac-ledger diff latest~1 latest
 	$(GO) run ./cmd/rtmacsim -protocol dbdp -intervals 1000 -seed 7 -ledger /tmp/rtmac-ledger >/dev/null
 	$(GO) run ./cmd/rtmacsim -protocol dbdp -intervals 1000 -seed 7 -p 0.45 -ledger /tmp/rtmac-ledger >/dev/null
-	! $(GO) run ./cmd/ledgerctl -dir /tmp/rtmac-ledger diff latest~1 latest
+	/tmp/rtmac-ledgerctl -dir /tmp/rtmac-ledger diff latest~1 latest; test $$? -eq 1
 
 # End-to-end check of the runtime health plane: run a served simulation with
 # the collector, slot-budget watchdog, and continuous profile ring all live;
@@ -201,19 +201,21 @@ rundiff-smoke:
 # recorded stream clean against those targets (exit 0). A replay of the same
 # scenario with an injected arrival burst must raise an alert (exit 1
 # exactly — 2 would be a tool failure) and leave a non-empty alert artifact
-# containing the expiry spike.
+# containing the expiry spike. `go run` flattens exit codes to 1, so the
+# rtmacwatch checks run a built binary.
 watch-smoke:
+	$(GO) build -o /tmp/rtmac-rtmacwatch ./cmd/rtmacwatch
 	$(GO) run ./cmd/rtmacsim -config scenarios/factory.json -watch \
 		-events /tmp/rtmac-watch-events.jsonl | tee /tmp/rtmac-watch.out
 	grep -q 'no SLO alerts' /tmp/rtmac-watch.out
 	$(GO) run ./cmd/feascheck -config scenarios/factory.json -json > /tmp/rtmac-watch-slo.json
 	grep -q '"feasible": true' /tmp/rtmac-watch-slo.json
-	$(GO) run ./cmd/rtmacwatch -check -slo /tmp/rtmac-watch-slo.json /tmp/rtmac-watch-events.jsonl
+	/tmp/rtmac-rtmacwatch -check -slo /tmp/rtmac-watch-slo.json /tmp/rtmac-watch-events.jsonl
 	$(GO) run ./cmd/rtmacsim -config scenarios/factory.json -watch \
 		-perturb-interval 600 -perturb-link 0 -perturb-extra 40 \
 		-events /tmp/rtmac-watch-perturbed.jsonl | tee /tmp/rtmac-watch-perturbed.out
 	grep -q 'expiry_spike' /tmp/rtmac-watch-perturbed.out
-	$(GO) run ./cmd/rtmacwatch -check -alerts /tmp/rtmac-watch-alerts.jsonl \
+	/tmp/rtmac-rtmacwatch -check -alerts /tmp/rtmac-watch-alerts.jsonl \
 		-scenario scenarios/factory.json /tmp/rtmac-watch-perturbed.jsonl \
 		> /tmp/rtmac-watch-verdict.out; test $$? -eq 1
 	test -s /tmp/rtmac-watch-alerts.jsonl
@@ -231,6 +233,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecoderDifferential -fuzztime=30s -fuzzminimizetime=5s ./internal/telemetry
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/ledger
 	$(GO) test -fuzz=FuzzQuery -fuzztime=30s -fuzzminimizetime=5s ./cmd/tracequery
+	$(GO) test -fuzz=FuzzSLODoc -fuzztime=30s -fuzzminimizetime=5s ./cmd/rtmacwatch
 
 cover:
 	$(GO) test -cover ./...

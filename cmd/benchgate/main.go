@@ -27,12 +27,16 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+
+	"rtmac/internal/cli"
 )
 
 // The gate's fixed parameters. N runs per side and the per-run timed
@@ -42,43 +46,45 @@ const (
 	runSeconds  = "5"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { cli.Main("benchgate", run) }
 
-// run is the entry point returning the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchgate:", err)
-		return 2
+// run gates the current checkout against the ref in args; cancelling ctx
+// stops the perfbench run in progress, and the baseline worktree is removed
+// either way.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: benchgate [REF] (default HEAD~1)") }
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	ref := "HEAD~1"
-	switch len(args) {
+	switch fs.NArg() {
 	case 0:
 	case 1:
-		ref = args[0]
+		ref = fs.Arg(0)
 	default:
-		return fail(fmt.Errorf("usage: benchgate [REF] (default HEAD~1)"))
+		return fmt.Errorf("usage: benchgate [REF] (default HEAD~1)")
 	}
 	top, err := git(".", "rev-parse", "--show-toplevel")
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	metrics, err := loadMetrics(filepath.Join(top, "BENCHMARK.json"))
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	commit, err := git(top, "rev-parse", "--short", "--verify", ref+"^{commit}")
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	baseDir, cleanup, err := checkout(top, commit)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	defer cleanup(stderr)
 	if _, err := os.Stat(filepath.Join(baseDir, "perfbench", "run.sh")); err != nil {
-		return fail(fmt.Errorf("baseline %s has no perfbench: %w", ref, err))
+		return fmt.Errorf("baseline %s has no perfbench: %w", ref, err)
 	}
 
 	fmt.Fprintf(stdout, "benchgate: baseline %s (%s) against the current checkout, %d perfbench kernel runs each (--seconds %s)\n",
@@ -93,9 +99,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sides[0], sides[1] = sides[1], sides[0]
 		}
 		for _, s := range sides {
-			r, err := perfbench(s.dir, stderr)
+			r, err := perfbench(ctx, s.dir, stderr)
 			if err != nil {
-				return fail(fmt.Errorf("%s run %d: %w", s.name, i+1, err))
+				return fmt.Errorf("%s run %d: %w", s.name, i+1, err)
 			}
 			*s.into = append(*s.into, r)
 			fmt.Fprintf(stdout, "run %d %-8s correct=%t", i+1, s.name, r.Correct)
@@ -109,20 +115,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	regressed, err := decide(stdout, base, change, metrics)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	if regressed {
 		fmt.Fprintln(stdout, "benchgate: FAIL")
-		return 1
+		return cli.Found
 	}
 	fmt.Fprintln(stdout, "benchgate: pass")
-	return 0
+	return nil
 }
 
 // perfbench runs one timed kernel pass in dir and parses its result line.
 // perfbench's own table goes nowhere; its stderr passes through.
-func perfbench(dir string, stderr io.Writer) (result, error) {
-	cmd := exec.Command("bash", "perfbench/run.sh", "--workload", "kernel", "--seconds", runSeconds)
+func perfbench(ctx context.Context, dir string, stderr io.Writer) (result, error) {
+	cmd := exec.CommandContext(ctx, "bash", "perfbench/run.sh", "--workload", "kernel", "--seconds", runSeconds)
 	cmd.Dir = dir
 	cmd.Stderr = stderr
 	out, err := cmd.Output()

@@ -10,20 +10,21 @@
 //
 // With -json the assessment is emitted as one machine-readable document
 // carrying the per-link requirement vector (the SLO targets `rtmacwatch
-// -slo` consumes) and the slot margin. Exit codes are unified with the other
-// tools: 0 feasible, 1 infeasible, 2 usage or I/O error.
+// -slo` consumes) and the slot margin.
+//
+// Exit codes, shared by every command: 0 feasible, 1 infeasible, 2 usage or
+// I/O error.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"rtmac"
-	"rtmac/internal/arrival"
-	"rtmac/internal/feasibility"
-	"rtmac/internal/phy"
+	"rtmac/internal/cli"
 	"rtmac/scenario"
 )
 
@@ -44,22 +45,28 @@ type report struct {
 	PerLink               []rtmac.FeasibilityLink `json:"per_link"`
 }
 
-func main() {
+func main() { cli.Main("feascheck", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("feascheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		configPath  = flag.String("config", "", "JSON scenario file (overrides the uniform-network flags)")
-		profileName = flag.String("profile", "control", "video | control")
-		links       = flag.Int("links", 10, "number of links")
-		p           = flag.Float64("p", 0.7, "per-link delivery probability")
-		arrName     = flag.String("arrivals", "bernoulli", "bernoulli | video | fixed")
-		rate        = flag.Float64("rate", 0.78, "arrival parameter")
-		ratio       = flag.Float64("ratio", 0.99, "required delivery ratio")
-		intervals   = flag.Int("intervals", 3000, "probe length in intervals")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		frontier    = flag.Bool("frontier", false, "binary-search the feasible scale of the requirement vector")
-		subsets     = flag.Bool("subsets", false, "scan subset-level necessary bounds (links ≤ 14, uniform mode only)")
-		jsonOut     = flag.Bool("json", false, "emit the assessment as one JSON document")
+		configPath  = fs.String("config", "", "JSON scenario file (overrides the uniform-network flags)")
+		profileName = fs.String("profile", "control", "video | control")
+		links       = fs.Int("links", 10, "number of links")
+		p           = fs.Float64("p", 0.7, "per-link delivery probability")
+		arrName     = fs.String("arrivals", "bernoulli", "bernoulli | video | fixed")
+		rate        = fs.Float64("rate", 0.78, "arrival parameter")
+		ratio       = fs.Float64("ratio", 0.99, "required delivery ratio")
+		intervals   = fs.Int("intervals", 3000, "probe length in intervals")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		frontier    = fs.Bool("frontier", false, "binary-search the feasible scale of the requirement vector")
+		subsets     = fs.Bool("subsets", false, "scan subset-level necessary bounds (links ≤ 14, uniform mode only)")
+		jsonOut     = fs.Bool("json", false, "emit the assessment as one JSON document")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	var (
 		cfg    rtmac.Config
@@ -74,11 +81,11 @@ func main() {
 		cfg, err = uniformConfig(*profileName, *links, *p, *arrName, *rate, *ratio, *seed)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := rtmac.CheckFeasibility(cfg, *intervals)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	doc := report{
 		Source:                source,
@@ -96,29 +103,38 @@ func main() {
 	if *frontier {
 		gamma, err := rtmac.CapacityFrontier(cfg, *intervals)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		doc.Frontier = gamma
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
-		printHuman(doc)
+		printHuman(stdout, doc)
 		if *subsets {
 			if *configPath != "" {
-				fatal(fmt.Errorf("-subsets supports only the uniform-network flags"))
+				return fmt.Errorf("-subsets supports only the uniform-network flags")
 			}
-			printSubsets(*profileName, *links, *p, *arrName, *rate, *ratio, *seed)
+			msg, err := rtmac.SubsetBoundViolation(cfg, 4000)
+			if err != nil {
+				return err
+			}
+			if msg == "" {
+				fmt.Fprintln(stdout, "subset bounds: satisfied")
+			} else {
+				fmt.Fprintf(stdout, "subset bounds: VIOLATED — %s\n", msg)
+			}
 		}
 	}
 	if !doc.Feasible {
-		os.Exit(1)
+		return cli.Found
 	}
+	return nil
 }
 
 // uniformConfig assembles the symmetric network the CLI flags describe
@@ -159,75 +175,25 @@ func uniformConfig(profileName string, links int, p float64, arrName string, rat
 	return rtmac.Config{Seed: seed, Profile: profile, Links: ls}, nil
 }
 
-func printHuman(doc report) {
-	fmt.Printf("%s: profile %s, %d links, workload %.2f of %d slots/interval (margin %.2f)\n",
+func printHuman(w io.Writer, doc report) {
+	fmt.Fprintf(w, "%s: profile %s, %d links, workload %.2f of %d slots/interval (margin %.2f)\n",
 		doc.Source, doc.Profile, doc.Links, doc.WorkloadSlots, doc.CapacitySlots, doc.MarginSlots)
 	if len(doc.PerLink) > 0 {
-		fmt.Printf("requirement: q[0] = %.4f packets/interval (use -json for the full vector)\n",
+		fmt.Fprintf(w, "requirement: q[0] = %.4f packets/interval (use -json for the full vector)\n",
 			doc.PerLink[0].Required)
 	}
 	if doc.NecessaryBoundsOK {
-		fmt.Println("necessary bounds: satisfied")
+		fmt.Fprintln(w, "necessary bounds: satisfied")
 	} else {
-		fmt.Printf("necessary bounds: VIOLATED — %s\n", doc.NecessaryBoundsReason)
+		fmt.Fprintf(w, "necessary bounds: VIOLATED — %s\n", doc.NecessaryBoundsReason)
 	}
 	verdict := "FEASIBLE"
 	if !doc.Feasible {
 		verdict = "INFEASIBLE"
 	}
-	fmt.Printf("LDF probe: deficiency %.4f — empirically %s\n", doc.ProbeDeficiency, verdict)
+	fmt.Fprintf(w, "LDF probe: deficiency %.4f — empirically %s\n", doc.ProbeDeficiency, verdict)
 	if doc.Frontier != 0 {
-		fmt.Printf("capacity frontier: γ ≈ %.3f (q scaled by γ is the empirical feasibility boundary)\n",
+		fmt.Fprintf(w, "capacity frontier: γ ≈ %.3f (q scaled by γ is the empirical feasibility boundary)\n",
 			doc.Frontier)
 	}
-}
-
-// printSubsets scans subset-level necessary bounds, which need the internal
-// problem form and therefore remain a uniform-flags extra.
-func printSubsets(profileName string, links int, p float64, arrName string, rate, ratio float64, seed uint64) {
-	var profile phy.Profile
-	switch profileName {
-	case "video":
-		profile = phy.Video()
-	case "control":
-		profile = phy.Control()
-	}
-	var proc arrival.Process
-	var err error
-	switch arrName {
-	case "bernoulli":
-		proc, err = arrival.NewBernoulli(rate)
-	case "video":
-		proc, err = arrival.PaperVideo(rate)
-	case "fixed":
-		proc = arrival.Deterministic{N: int(rate)}
-	}
-	if err != nil {
-		fatal(err)
-	}
-	av, err := arrival.Uniform(links, proc)
-	if err != nil {
-		fatal(err)
-	}
-	probs := make([]float64, links)
-	req := make([]float64, links)
-	for i := range probs {
-		probs[i] = p
-		req[i] = ratio * proc.Mean()
-	}
-	problem := feasibility.Problem{Profile: profile, SuccessProb: probs, Arrivals: av, Required: req}
-	msg, err := feasibility.SubsetBoundViolation(problem, seed, 4000)
-	if err != nil {
-		fatal(err)
-	}
-	if msg == "" {
-		fmt.Println("subset bounds: satisfied")
-	} else {
-		fmt.Printf("subset bounds: VIOLATED — %s\n", msg)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "feascheck:", err)
-	os.Exit(2)
 }

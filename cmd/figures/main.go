@@ -12,67 +12,83 @@
 //
 // Each figure prints an aligned table and an ASCII chart; -csv writes the
 // raw points for external plotting.
+//
+// Exit codes, shared by every command: 0 success, 1 a strict-monitor
+// invariant violation failed a figure, 2 usage or I/O error.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"rtmac/internal/cli"
 	"rtmac/internal/experiment"
 	"rtmac/internal/health"
 	"rtmac/internal/ledger"
+	"rtmac/internal/monitor"
 	"rtmac/internal/obs"
 	"rtmac/internal/telemetry"
 	"rtmac/internal/watch"
 )
 
-func main() {
-	var (
-		figID     = flag.String("fig", "", "figure to regenerate (see -list); default: the paper's fig3..fig10")
-		scale     = flag.Float64("scale", 1.0, "interval-count scale factor (1 = paper fidelity)")
-		seeds     = flag.Int("seeds", 3, "independent replications per point")
-		csvDir    = flag.String("csv", "", "directory to write per-figure CSV files into")
-		quiet     = flag.Bool("quiet", false, "suppress per-point progress output")
-		list      = flag.Bool("list", false, "list available figure IDs and exit")
-		extended  = flag.Bool("extended", false, "run the beyond-paper figures too")
-		htmlPath  = flag.String("html", "", "write all regenerated figures into one self-contained HTML report")
-		monitor   = flag.Bool("monitor", true, "run the strict invariant monitor inside every simulation; a violation fails the figure")
-		serve     = flag.String("serve", "", "serve the live observability plane (dashboard, /metrics, /api/progress, /events SSE) on this address (e.g. :8080) while the sweep runs")
-		ledgerDir = flag.String("ledger", "", "append this run's aggregated points to the run ledger in DIR (see ledgerctl)")
-		seedList  = flag.String("seedlist", "", "comma-separated exact replication seeds, overriding -seeds and the derived schedule (e.g. 101,202); lets separately recorded ledger runs merge into exactly one combined run")
+func main() { cli.Main("figures", run) }
 
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile for the whole sweep to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		healthFlag  = flag.Bool("health", false, "sample runtime health (GC pauses, heap, scheduler latency) during the sweep; summary lands in the ledger manifest and on /api/health when -serve is active")
-		profileRing = flag.String("profilering", "", "continuously capture CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
-		watchFlag   = flag.Bool("watch", false, "run the SLO conformance watch engine inside every simulation and report the cross-sweep alert tally (informational: sweep points cross the capacity frontier by design, so alerts are expected)")
-		sloBudget   = flag.Float64("slo-budget", 0, "deadline-miss budget fraction for the watch engine (default 0.1); setting it implies -watch")
+func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		figID     = fs.String("fig", "", "figure to regenerate (see -list); default: the paper's fig3..fig10")
+		scale     = fs.Float64("scale", 1.0, "interval-count scale factor (1 = paper fidelity)")
+		seeds     = fs.Int("seeds", 3, "independent replications per point")
+		csvDir    = fs.String("csv", "", "directory to write per-figure CSV files into")
+		quiet     = fs.Bool("quiet", false, "suppress per-point progress output")
+		list      = fs.Bool("list", false, "list available figure IDs and exit")
+		extended  = fs.Bool("extended", false, "run the beyond-paper figures too")
+		htmlPath  = fs.String("html", "", "write all regenerated figures into one self-contained HTML report")
+		monitorOn = fs.Bool("monitor", true, "run the strict invariant monitor inside every simulation; a violation fails the figure")
+		serve     = fs.String("serve", "", "serve the live observability plane (dashboard, /metrics, /api/progress, /events SSE) on this address (e.g. :8080) while the sweep runs")
+		ledgerDir = fs.String("ledger", "", "append this run's aggregated points to the run ledger in DIR (see ledgerctl)")
+		seedList  = fs.String("seedlist", "", "comma-separated exact replication seeds, overriding -seeds and the derived schedule (e.g. 101,202); lets separately recorded ledger runs merge into exactly one combined run")
+
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile for the whole sweep to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		healthFlag  = fs.Bool("health", false, "sample runtime health (GC pauses, heap, scheduler latency) during the sweep; summary lands in the ledger manifest and on /api/health when -serve is active")
+		profileRing = fs.String("profilering", "", "continuously capture CPU+heap pprof snapshots into a bounded ring in DIR (implies -health)")
+		watchFlag   = fs.Bool("watch", false, "run the SLO conformance watch engine inside every simulation and report the cross-sweep alert tally (informational: sweep points cross the capacity frontier by design, so alerts are expected)")
+		sloBudget   = fs.Float64("slo-budget", 0, "deadline-miss budget fraction for the watch engine (default 0.1); setting it implies -watch")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if *profileRing != "" {
 		*healthFlag = true
 	}
 
 	if *list {
 		for _, f := range experiment.Extended() {
-			fmt.Printf("%-16s %s\n", f.ID(), f.Title())
+			fmt.Fprintf(stdout, "%-16s %s\n", f.ID(), f.Title())
 		}
-		return
+		return nil
 	}
 
 	if *cpuprofile != "" {
 		stop, err := health.StartCPUProfile(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		defer stop()
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
 	}
 
 	figures := experiment.All()
@@ -82,15 +98,14 @@ func main() {
 	if *figID != "" {
 		fig, err := experiment.ByID(*figID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
 		figures = []experiment.Figure{fig}
 	}
 	opts := experiment.RunOptions{
 		Seeds:         *seeds,
 		IntervalScale: *scale,
-		Monitor:       *monitor,
+		Monitor:       *monitorOn,
 	}
 	var tally *watch.Tally
 	if *watchFlag || *sloBudget != 0 {
@@ -103,15 +118,14 @@ func main() {
 		for _, part := range strings.Split(*seedList, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -seedlist entry %q: %v\n", part, err)
-				os.Exit(2)
+				return fmt.Errorf("bad -seedlist entry %q: %w", part, err)
 			}
 			opts.SeedList = append(opts.SeedList, v)
 		}
 		opts.Seeds = len(opts.SeedList)
 	}
 	if !*quiet {
-		opts.Progress = os.Stderr
+		opts.Progress = stderr
 	}
 	var (
 		recorder *ledger.Recorder
@@ -139,31 +153,19 @@ func main() {
 		opts.Telemetry = plane.Registry
 		opts.Events = plane.Broker
 		if err := plane.Start(*serve); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "observability: serving on http://%s (dashboard, /metrics, /api/progress, /events)\n",
+		defer func() {
+			if cerr := plane.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		fmt.Fprintf(stderr, "observability: serving on http://%s (dashboard, /metrics, /api/progress, /events)\n",
 			plane.Addr())
 		if *ledgerDir != "" {
-			store, err := ledger.Open(*ledgerDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := ledger.Serve(plane, *ledgerDir); err != nil {
+				return err
 			}
-			plane.SetRunsProvider(func() any {
-				h, err := ledger.BuildHistory(store, 200)
-				if err != nil {
-					return &ledger.History{Enabled: true, Dir: store.Dir()}
-				}
-				return h
-			})
-			plane.SetCompareProvider(func(refA, refB string) any {
-				c, err := ledger.BuildCompare(store, refA, refB, ledger.DiffOptions{})
-				if err != nil {
-					return &ledger.Compare{Enabled: true, Dir: store.Dir(), Error: err.Error()}
-				}
-				return c
-			})
 		}
 	}
 	// The health plane for a sweep is process-level: one collector sampling
@@ -181,18 +183,19 @@ func main() {
 		}
 		healthCol = health.NewCollector(cfg)
 		healthCol.Start()
+		defer healthCol.Stop()
 		if *profileRing != "" {
 			ring, err := health.NewProfileRing(health.RingConfig{
 				Dir:    *profileRing,
 				Labels: map[string]string{"tool": "figures"},
 			})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			ring.Start()
+			defer ring.Stop()
 			healthRing = ring
-			fmt.Fprintf(os.Stderr, "health: profile ring capturing into %s\n", *profileRing)
+			fmt.Fprintf(stderr, "health: profile ring capturing into %s\n", *profileRing)
 		}
 		if plane != nil {
 			plane.SetHealthProvider(func() any {
@@ -202,8 +205,7 @@ func main() {
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	var htmlResults []*experiment.Result
@@ -211,57 +213,38 @@ func main() {
 		start := time.Now()
 		res, err := fig.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", fig.ID(), err)
-			os.Exit(1)
+			err = fmt.Errorf("%s: %w", fig.ID(), err)
+			if errors.Is(err, monitor.ErrViolation) {
+				return cli.Finding(err)
+			}
+			return err
 		}
 		if *htmlPath != "" {
 			htmlResults = append(htmlResults, res)
 		}
-		if err := experiment.WriteTable(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := experiment.WriteTable(stdout, res); err != nil {
+			return err
 		}
-		fmt.Println()
-		if err := experiment.WriteASCIIChart(os.Stdout, res, 72, 18); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		fmt.Fprintln(stdout)
+		if err := experiment.WriteASCIIChart(stdout, res, 72, 18); err != nil {
+			return err
 		}
-		fmt.Printf("(%s completed in %v)\n\n", fig.ID(), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", fig.ID(), time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, res.ID+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := cli.WriteFile(path, func(w io.Writer) error { return experiment.WriteCSV(w, res) }); err != nil {
+				return err
 			}
-			if err := experiment.WriteCSV(f, res); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			fmt.Fprintf(stderr, "wrote %s\n", path)
 		}
 	}
 	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := cli.WriteFile(*htmlPath, func(w io.Writer) error {
+			return experiment.WriteHTMLReport(w, htmlResults)
+		}); err != nil {
+			return err
 		}
-		if err := experiment.WriteHTMLReport(f, htmlResults); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *htmlPath)
+		fmt.Fprintf(stderr, "wrote %s\n", *htmlPath)
 	}
 	if healthCol != nil {
 		if healthRing != nil {
@@ -272,7 +255,7 @@ func main() {
 		if manifest != nil {
 			manifest.Health = &sum
 		}
-		fmt.Fprintf(os.Stderr, "health: %d samples · peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%v total, max %v)\n",
+		fmt.Fprintf(stderr, "health: %d samples · peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%v total, max %v)\n",
 			sum.Samples, float64(sum.HeapLivePeakBytes)/(1<<20), sum.GoroutinePeak,
 			sum.GCPauses, time.Duration(sum.GCPauseTotalNS).Round(time.Microsecond),
 			time.Duration(sum.GCPauseMaxNS).Round(time.Microsecond))
@@ -284,18 +267,9 @@ func main() {
 		}
 		detail := ""
 		if len(sum.ByDetector) > 0 {
-			names := make([]string, 0, len(sum.ByDetector))
-			for d := range sum.ByDetector {
-				names = append(names, d)
-			}
-			sort.Strings(names)
-			parts := make([]string, len(names))
-			for i, d := range names {
-				parts[i] = fmt.Sprintf("%s=%d", d, sum.ByDetector[d])
-			}
-			detail = " (" + strings.Join(parts, " ") + ")"
+			detail = " (" + watch.FormatCounts(sum.ByDetector) + ")"
 		}
-		fmt.Fprintf(os.Stderr, "watch: %d SLO alerts across %d simulations%s — informational; sweep points cross the capacity frontier by design\n",
+		fmt.Fprintf(stderr, "watch: %d SLO alerts across %d simulations%s — informational; sweep points cross the capacity frontier by design\n",
 			tally.Alerts(), tally.Runs(), detail)
 	}
 	if recorder != nil {
@@ -309,32 +283,21 @@ func main() {
 		manifest.Finish()
 		rec, err := recorder.Finalize("figures", scenario, manifest)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		store, err := ledger.Open(*ledgerDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		id, err := store.Append(rec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "ledger: appended %s (%d points, %d seeds) to %s\n",
+		fmt.Fprintf(stderr, "ledger: appended %s (%d points, %d seeds) to %s\n",
 			id[:12], len(rec.Points), len(rec.Seeds), *ledgerDir)
 	}
-	if plane != nil {
-		if err := plane.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	if *memprofile != "" {
-		if err := health.WriteHeapProfile(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		return health.WriteHeapProfile(*memprofile)
 	}
+	return nil
 }

@@ -40,68 +40,71 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"rtmac/internal/cli"
 	"rtmac/internal/ledger"
 	"rtmac/internal/rundiff"
 )
 
-func main() {
+func main() { cli.Main("ledgerctl", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ledgerctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dir        = flag.String("dir", ".ledger", "ledger directory")
-		confidence = flag.Float64("confidence", 0.95, "diff: Welch test confidence level (0.90, 0.95 or 0.99)")
-		rel        = flag.Float64("rel", 0.10, "diff: relative-delta threshold used when a side has <2 replications")
-		quantRel   = flag.Float64("quantile-rel", 0.25, "diff: relative growth of delay p50/p95/p99 flagged as regression")
-		eventsOld  = flag.String("events-old", "", "diff: OLD run's recorded JSONL event stream; with -events-new, drill to the first divergent event")
-		eventsNew  = flag.String("events-new", "", "diff: NEW run's recorded JSONL event stream (see -events-old)")
+		dir        = fs.String("dir", ".ledger", "ledger directory")
+		confidence = fs.Float64("confidence", 0.95, "diff: Welch test confidence level (0.90, 0.95 or 0.99)")
+		rel        = fs.Float64("rel", 0.10, "diff: relative-delta threshold used when a side has <2 replications")
+		quantRel   = fs.Float64("quantile-rel", 0.25, "diff: relative growth of delay p50/p95/p99 flagged as regression")
+		eventsOld  = fs.String("events-old", "", "diff: OLD run's recorded JSONL event stream; with -events-new, drill to the first divergent event")
+		eventsNew  = fs.String("events-new", "", "diff: NEW run's recorded JSONL event stream (see -events-old)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ledgerctl [-dir DIR] <list|show|merge|diff|equal> [args]\n")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: ledgerctl [-dir DIR] <list|show|merge|diff|equal> [args]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return fmt.Errorf("missing command")
 	}
 	store, err := ledger.Open(*dir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	cmd, args := args[0], args[1:]
+	cmd, args := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "list":
-		err = runList(store, args)
+		return runList(stdout, store, args)
 	case "show":
-		err = runShow(store, args)
+		return runShow(stdout, store, args)
 	case "merge":
-		err = runMerge(store, args)
+		return runMerge(stdout, store, args)
 	case "diff":
-		err = runDiff(store, args, ledger.DiffOptions{
+		return runDiff(stdout, store, args, ledger.DiffOptions{
 			Confidence:        *confidence,
 			RelThreshold:      *rel,
 			QuantileThreshold: *quantRel,
 		}, *eventsOld, *eventsNew)
 	case "equal":
-		err = runEqual(store, args)
-	default:
-		fmt.Fprintf(os.Stderr, "ledgerctl: unknown command %q\n", cmd)
-		flag.Usage()
-		os.Exit(2)
+		return runEqual(stdout, store, args)
 	}
-	if err != nil {
-		fatal(err)
-	}
+	fs.Usage()
+	return fmt.Errorf("unknown command %q", cmd)
 }
 
-func runList(store *ledger.Store, args []string) error {
+func runList(w io.Writer, store *ledger.Store, args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("list takes no arguments")
 	}
@@ -110,10 +113,10 @@ func runList(store *ledger.Store, args []string) error {
 		return err
 	}
 	if len(entries) == 0 {
-		fmt.Printf("ledger %s is empty\n", store.Dir())
+		fmt.Fprintf(w, "ledger %s is empty\n", store.Dir())
 		return nil
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ID\tAPPENDED\tKIND\tTOOL\tSCENARIO\tCOMMIT\tSEEDS\tPOINTS")
 	for _, e := range entries {
 		commit := e.Commit
@@ -130,7 +133,7 @@ func runList(store *ledger.Store, args []string) error {
 	return tw.Flush()
 }
 
-func runShow(store *ledger.Store, args []string) error {
+func runShow(w io.Writer, store *ledger.Store, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("show takes exactly one reference")
 	}
@@ -142,37 +145,37 @@ func runShow(store *ledger.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("record   %s\n", id)
-	fmt.Printf("kind     %s\n", rec.Kind)
+	fmt.Fprintf(w, "record   %s\n", id)
+	fmt.Fprintf(w, "kind     %s\n", rec.Kind)
 	if rec.Scenario != "" {
-		fmt.Printf("scenario %s\n", rec.Scenario)
+		fmt.Fprintf(w, "scenario %s\n", rec.Scenario)
 	}
 	if len(rec.Seeds) > 0 {
 		seeds := make([]string, len(rec.Seeds))
 		for i, s := range rec.Seeds {
 			seeds[i] = fmt.Sprint(s)
 		}
-		fmt.Printf("seeds    %s\n", strings.Join(seeds, " "))
+		fmt.Fprintf(w, "seeds    %s\n", strings.Join(seeds, " "))
 	}
 	if m := rec.Manifest; m != nil {
-		fmt.Printf("tool     %s\n", m.Tool)
-		fmt.Printf("go       %s\n", m.GoVersion)
+		fmt.Fprintf(w, "tool     %s\n", m.Tool)
+		fmt.Fprintf(w, "go       %s\n", m.GoVersion)
 		if m.VCSRevision != "" {
 			dirty := ""
 			if m.VCSModified {
 				dirty = " (dirty)"
 			}
-			fmt.Printf("commit   %s%s\n", m.VCSRevision, dirty)
+			fmt.Fprintf(w, "commit   %s%s\n", m.VCSRevision, dirty)
 		}
 		if m.Hostname != "" {
-			fmt.Printf("host     %s (GOMAXPROCS %d)\n", m.Hostname, m.GoMaxProcs)
+			fmt.Fprintf(w, "host     %s (GOMAXPROCS %d)\n", m.Hostname, m.GoMaxProcs)
 		}
 		if !m.Started.IsZero() {
-			fmt.Printf("started  %s", m.Started.Format("2006-01-02 15:04:05 MST"))
+			fmt.Fprintf(w, "started  %s", m.Started.Format("2006-01-02 15:04:05 MST"))
 			if m.Elapsed > 0 {
-				fmt.Printf("  elapsed %s", m.Elapsed.Round(1e6))
+				fmt.Fprintf(w, "  elapsed %s", m.Elapsed.Round(1e6))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		if len(m.Config) > 0 {
 			keys := make([]string, 0, len(m.Config))
@@ -181,11 +184,11 @@ func runShow(store *ledger.Store, args []string) error {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fmt.Printf("config   %s=%s\n", k, m.Config[k])
+				fmt.Fprintf(w, "config   %s=%s\n", k, m.Config[k])
 			}
 		}
 		if h := m.Health; h != nil {
-			fmt.Printf("health   peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%s total, max %s) over %d samples\n",
+			fmt.Fprintf(w, "health   peak heap %.1f MiB · peak %d goroutines · %d GC pauses (~%s total, max %s) over %d samples\n",
 				float64(h.HeapLivePeakBytes)/(1<<20), h.GoroutinePeak, h.GCPauses,
 				time.Duration(h.GCPauseTotalNS).Round(time.Microsecond),
 				time.Duration(h.GCPauseMaxNS).Round(time.Microsecond), h.Samples)
@@ -197,18 +200,18 @@ func runShow(store *ledger.Store, args []string) error {
 						time.Duration(h.MaxOverrunNS).Round(time.Microsecond),
 						h.StallsGC, h.StallsSched, h.StallsUser)
 				}
-				fmt.Println(verdict)
+				fmt.Fprintln(w, verdict)
 			}
 		}
 	}
 	if len(rec.Merged) > 0 {
-		fmt.Printf("merged from %d records:\n", len(rec.Merged))
+		fmt.Fprintf(w, "merged from %d records:\n", len(rec.Merged))
 		for _, src := range rec.Merged {
-			fmt.Printf("  %s\n", src)
+			fmt.Fprintf(w, "  %s\n", src)
 		}
 	}
-	fmt.Println()
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "FIGURE\tSERIES\tX\tMETRIC\tN\tMEAN\t±CI95\tP50\tP95\tP99")
 	for _, p := range rec.Points {
 		d50, d95, d99 := "-", "-", "-"
@@ -224,7 +227,7 @@ func runShow(store *ledger.Store, args []string) error {
 	return tw.Flush()
 }
 
-func runMerge(store *ledger.Store, args []string) error {
+func runMerge(w io.Writer, store *ledger.Store, args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("merge takes at least two references")
 	}
@@ -236,12 +239,12 @@ func runMerge(store *ledger.Store, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("merged %d records into %s (%d points, %d seeds)\n",
+	fmt.Fprintf(w, "merged %d records into %s (%d points, %d seeds)\n",
 		len(args), id, len(rec.Points), len(rec.Seeds))
 	return nil
 }
 
-func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, eventsOld, eventsNew string) error {
+func runDiff(w io.Writer, store *ledger.Store, args []string, opts ledger.DiffOptions, eventsOld, eventsNew string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("diff takes exactly two references (each may be a comma-separated set)")
 	}
@@ -260,30 +263,28 @@ func runDiff(store *ledger.Store, args []string, opts ledger.DiffOptions, events
 	if err != nil {
 		return err
 	}
-	report.WriteText(os.Stdout)
+	report.WriteText(w)
 	diverged := false
 	if eventsOld != "" {
 		// Deep mode: drill from the statistical verdict to the pathwise
 		// cause — the first event where the two recorded runs part ways.
-		diverged, err = deepEventDiff(eventsOld, eventsNew)
+		diverged, err = deepEventDiff(w, eventsOld, eventsNew)
 		if err != nil {
 			return err
 		}
 	}
 	if report.HasRegression() {
-		fmt.Fprintf(os.Stderr, "ledgerctl: %d significant regressions\n", report.Regressions)
-		os.Exit(1)
+		return cli.Finding(fmt.Errorf("%d significant regressions", report.Regressions))
 	}
 	if diverged {
-		fmt.Fprintln(os.Stderr, "ledgerctl: event streams diverge (no metric regression)")
-		os.Exit(1)
+		return cli.Finding(fmt.Errorf("event streams diverge (no metric regression)"))
 	}
 	return nil
 }
 
 // deepEventDiff runs the rundiff engine over the two recorded event streams
 // and prints the first-divergence pointer. Returns whether they diverged.
-func deepEventDiff(oldPath, newPath string) (bool, error) {
+func deepEventDiff(w io.Writer, oldPath, newPath string) (bool, error) {
 	fa, err := os.Open(oldPath)
 	if err != nil {
 		return false, err
@@ -298,16 +299,16 @@ func deepEventDiff(oldPath, newPath string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	fmt.Println()
-	fmt.Printf("event streams (%s vs %s):\n", oldPath, newPath)
-	rundiff.WriteEventDiff(os.Stdout, d)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "event streams (%s vs %s):\n", oldPath, newPath)
+	rundiff.WriteEventDiff(w, d)
 	return !d.Equal, nil
 }
 
 // runEqual asserts two records (or comma-separated sets, merged in memory)
 // carry byte-identical point statistics — the merge-fidelity check: per-seed
 // records merged must equal the combined run exactly, not just within noise.
-func runEqual(store *ledger.Store, args []string) error {
+func runEqual(w io.Writer, store *ledger.Store, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("equal wants exactly two references (each may be a comma-separated set)")
 	}
@@ -320,10 +321,9 @@ func runEqual(store *ledger.Store, args []string) error {
 		return err
 	}
 	if err := ledger.Equivalent(a, b); err != nil {
-		fmt.Fprintf(os.Stderr, "ledgerctl: records differ: %v\n", err)
-		os.Exit(1)
+		return cli.Finding(fmt.Errorf("records differ: %w", err))
 	}
-	fmt.Printf("records carry identical statistics (%d points)\n", len(a.Points))
+	fmt.Fprintf(w, "records carry identical statistics (%d points)\n", len(a.Points))
 	return nil
 }
 
@@ -356,12 +356,4 @@ func loadSet(store *ledger.Store, refs []string) (*ledger.Record, error) {
 	default:
 		return ledger.Merge(recs, ids)
 	}
-}
-
-// fatal reports a usage or I/O failure. Exit code 2 keeps it distinct from
-// exit 1, which means "the comparison found a difference" — scripts gating on
-// diff/equal can tell a broken invocation from a real regression.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ledgerctl:", err)
-	os.Exit(2)
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"rtmac"
+	"rtmac/internal/cli"
 	"rtmac/scenario"
 )
 
@@ -113,7 +116,7 @@ func runForArtifacts(t *testing.T) (eventsPath, tracePath string) {
 
 func TestCheckEventsAuditsRecordedRun(t *testing.T) {
 	eventsPath, _ := runForArtifacts(t)
-	if err := checkEvents(eventsPath); err != nil {
+	if err := checkEvents(io.Discard, io.Discard, eventsPath); err != nil {
 		t.Fatalf("clean recorded run failed the audit: %v", err)
 	}
 }
@@ -129,7 +132,7 @@ func TestCheckEventsFlagsCorruptedStream(t *testing.T) {
 	if err := os.WriteFile(eventsPath, append([]byte(forged), data...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = checkEvents(eventsPath)
+	err = checkEvents(io.Discard, io.Discard, eventsPath)
 	if err == nil {
 		t.Fatal("forged collision passed the audit")
 	}
@@ -140,14 +143,61 @@ func TestCheckEventsFlagsCorruptedStream(t *testing.T) {
 
 func TestCheckPerfetto(t *testing.T) {
 	_, tracePath := runForArtifacts(t)
-	if err := checkPerfetto(tracePath); err != nil {
+	if err := run(context.Background(), []string{"-checkperfetto", tracePath}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("exported trace failed validation: %v", err)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkPerfetto(bad); err == nil {
+	if err := run(context.Background(), []string{"-checkperfetto", bad}, io.Discard, io.Discard); err == nil {
 		t.Fatal("garbage trace passed validation")
+	}
+}
+
+// TestExitCodes drives run in-process through the exit contract: 0 success
+// or -h, 1 a finding, 2 usage or I/O error.
+func TestExitCodes(t *testing.T) {
+	eventsPath, _ := runForArtifacts(t)
+	dir := t.TempDir()
+	corrupted := filepath.Join(dir, "corrupted.jsonl")
+	data, err := os.ReadFile(eventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A forged collision in the recorded collision-free run.
+	forged := `{"k":0,"at":150,"link":0,"kind":"tx","fields":{"dur":100,"empty":0,"outcome":2}}` + "\n"
+	if err := os.WriteFile(corrupted, append([]byte(forged), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"short run", []string{"-intervals", "20", "-links", "4"}, 0},
+		{"-h", []string{"-h"}, 0},
+		{"clean stream", []string{"-checkevents", eventsPath}, 0},
+		{"bad flag", []string{"-nosuch"}, 2},
+		{"bad -sample-tx", []string{"-sample-tx", "0"}, 2},
+		{"bad -pairs", []string{"-pairs", "0"}, 2},
+		{"unknown protocol", []string{"-protocol", "nosuch"}, 2},
+		{"NaN -slo-budget", []string{"-intervals", "20", "-slo-budget", "NaN"}, 2},
+		{"missing -config", []string{"-config", filepath.Join(dir, "missing.json")}, 2},
+		{"uncreatable -events", []string{"-intervals", "20", "-events", filepath.Join(empty, "e.jsonl")}, 2},
+		{"unreadable -checkevents", []string{"-checkevents", dir}, 2},
+		{"missing -checkevents", []string{"-checkevents", filepath.Join(dir, "missing.jsonl")}, 2},
+		{"corrupted stream", []string{"-checkevents", corrupted}, 1},
+		{"empty stream", []string{"-checkevents", empty}, 1},
+		{"malformed trace", []string{"-checkperfetto", empty}, 1},
+	} {
+		err := run(context.Background(), tc.args, io.Discard, io.Discard)
+		if got := cli.ExitCode(err); got != tc.want {
+			t.Errorf("%s: exit %d (%v), want %d", tc.name, got, err, tc.want)
+		}
 	}
 }

@@ -31,26 +31,19 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"rtmac"
+	"rtmac/internal/cli"
 	"rtmac/internal/telemetry"
 	"rtmac/internal/watch"
 	"rtmac/scenario"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	stop()
-	os.Exit(code)
-}
+func main() { cli.Main("rtmacwatch", run) }
 
-func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("rtmacwatch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -67,8 +60,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "       rtmacwatch [flags] -tail http://host:port/events")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(argv); err != nil {
-		return 2
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	budgetSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -79,8 +72,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 
 	targets, cfgBudget, err := resolveTargets(*qFlag, *sloPath, *scenPath)
 	if err != nil {
-		fmt.Fprintln(stderr, "rtmacwatch:", err)
-		return 2
+		return err
 	}
 	if !budgetSet {
 		*budget = cfgBudget
@@ -93,53 +85,46 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		Output:   alertPrinter{out: stdout, quiet: *check},
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, "rtmacwatch:", err)
-		return 2
+		return err
 	}
 
 	var events int64
 	switch {
 	case *tailURL != "" && fs.NArg() > 0:
-		fmt.Fprintln(stderr, "rtmacwatch: -tail and a replay file are mutually exclusive")
-		return 2
+		return fmt.Errorf("-tail and a replay file are mutually exclusive")
 	case *tailURL != "":
 		events, err = tailSSE(ctx, *tailURL, eng)
 	case fs.NArg() == 1:
 		events, err = replayFile(fs.Arg(0), eng)
 	default:
 		fs.Usage()
-		return 2
+		return fmt.Errorf("want one events file or -tail URL, got %d arguments", fs.NArg())
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, "rtmacwatch:", err)
-		return 2
+		return err
+	}
+	if link, ok := eng.Untargeted(); ok {
+		return fmt.Errorf("the stream has link %d but there are only %d targets (links 0..%d)",
+			link, len(targets), len(targets)-1)
 	}
 
 	if *alertsOut != "" {
-		if err := writeAlerts(*alertsOut, eng); err != nil {
-			fmt.Fprintln(stderr, "rtmacwatch:", err)
-			return 2
+		if err := cli.WriteFile(*alertsOut, func(w io.Writer) error {
+			return watch.WriteAlertsJSONL(w, eng.Alerts())
+		}); err != nil {
+			return err
 		}
 	}
 
 	fmt.Fprintf(stdout, "rtmacwatch: %d events, %d intervals, %d alerts (%d still firing)\n",
 		events, eng.Intervals(), eng.Count(), eng.FiringNow())
 	if by := eng.ByDetector(); len(by) > 0 {
-		names := make([]string, 0, len(by))
-		for d := range by {
-			names = append(names, d)
-		}
-		sort.Strings(names)
-		parts := make([]string, len(names))
-		for i, d := range names {
-			parts[i] = fmt.Sprintf("%s=%d", d, by[d])
-		}
-		fmt.Fprintf(stdout, "rtmacwatch: by detector: %s\n", strings.Join(parts, " "))
+		fmt.Fprintf(stdout, "rtmacwatch: by detector: %s\n", watch.FormatCounts(by))
 	}
 	if eng.Count() > 0 {
-		return 1
+		return cli.Found
 	}
-	return 0
+	return nil
 }
 
 // resolveTargets produces the per-link SLO target vector from exactly one of
@@ -194,10 +179,15 @@ func targetsFromSLODoc(path string) ([]float64, error) {
 		return nil, fmt.Errorf("%s: no per_link requirement vector (is this a feascheck -json document?)", path)
 	}
 	targets := make([]float64, len(doc.PerLink))
+	seen := make([]bool, len(doc.PerLink))
 	for _, pl := range doc.PerLink {
 		if pl.Link < 0 || pl.Link >= len(targets) {
 			return nil, fmt.Errorf("%s: per_link entry for link %d outside 0..%d", path, pl.Link, len(targets)-1)
 		}
+		if seen[pl.Link] {
+			return nil, fmt.Errorf("%s: two per_link entries for link %d", path, pl.Link)
+		}
+		seen[pl.Link] = true
 		targets[pl.Link] = pl.Required
 	}
 	return targets, nil
@@ -274,18 +264,6 @@ func tailSSE(ctx context.Context, url string, eng *watch.Engine) (int64, error) 
 		return n, err
 	}
 	return n, nil
-}
-
-func writeAlerts(path string, eng *watch.Engine) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := watch.WriteAlertsJSONL(f, eng.Alerts()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // alertPrinter is the engine's output sink: it renders alert transitions as

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,11 +14,12 @@ import (
 	"testing"
 
 	"rtmac"
+	"rtmac/internal/cli"
 )
 
 // recordRun simulates a short feasible DB-DP run (5 links, the paper's
 // control-profile parameters) and returns the recorded event stream path.
-func recordRun(t *testing.T, intervals int) string {
+func recordRun(t testing.TB, intervals int) string {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "events.jsonl")
@@ -52,8 +54,11 @@ func recordRun(t *testing.T, intervals int) string {
 
 func runWatch(ctx context.Context, args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
-	code = run(ctx, args, &out, &errb)
-	return code, out.String(), errb.String()
+	err := run(ctx, args, &out, &errb)
+	if err != nil {
+		fmt.Fprintln(&errb, "rtmacwatch:", err)
+	}
+	return cli.ExitCode(err), out.String(), errb.String()
 }
 
 func TestResolveTargets(t *testing.T) {
@@ -265,4 +270,71 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, _ := runWatch(context.Background(), "-q", "0.5", "missing-file.jsonl"); code != 2 {
 		t.Errorf("unreadable file exited %d, want 2", code)
 	}
+}
+
+// TestExitCodes drives run through the exit contract: 0 a conforming
+// stream or -h, 1 alerts, 2 usage or I/O error.
+func TestExitCodes(t *testing.T) {
+	path := recordRun(t, 1200)
+	q5 := "0.7722,0.7722,0.7722,0.7722,0.7722"
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"conforming", []string{"-q", q5, path}, 0},
+		{"feascheck targets", []string{"-slo", filepath.Join("testdata", "feascheck.json"), path}, 0},
+		{"-h", []string{"-h"}, 0},
+		{"alerts", []string{"-q", "1.5,1.5,1.5,1.5,1.5", path}, 1},
+		{"bad flag", []string{"-nosuch"}, 2},
+		{"bad -q", []string{"-q", "0.5,x", path}, 2},
+		{"NaN -budget", []string{"-q", q5, "-budget", "NaN", path}, 2},
+		{"unreadable stream", []string{"-q", q5, t.TempDir()}, 2},
+		{"short target vector", []string{"-q", "0.9,0.9", path}, 2},
+	} {
+		code, stdout, stderr := runWatch(context.Background(), tc.args...)
+		if code != tc.want {
+			t.Errorf("%s: exit %d, want %d\nstdout: %s\nstderr: %s", tc.name, code, tc.want, stdout, stderr)
+		}
+	}
+}
+
+// TestShortTargetVector: a replay with fewer targets than the stream has
+// links names the first link without a target instead of judging only the
+// links it has targets for.
+func TestShortTargetVector(t *testing.T) {
+	path := recordRun(t, 200)
+	err := run(context.Background(), []string{"-q", "0.9,0.9", path}, io.Discard, io.Discard)
+	if cli.ExitCode(err) != 2 || err == nil || !strings.Contains(err.Error(), "link 2 ") {
+		t.Fatalf("short target vector: %v, want an exit-2 error naming link 2", err)
+	}
+}
+
+// FuzzSLODoc runs rtmacwatch with a fuzzed -slo document over a short
+// recorded stream: it never panics, exits 0, 1 or 2, and a document the
+// target parser rejects exits 2.
+func FuzzSLODoc(f *testing.F) {
+	real, err := os.ReadFile(filepath.Join("testdata", "feascheck.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add([]byte(""))
+	f.Add([]byte(`{"per_link": [{"link": -1, "required": 0.5}]}`))
+	f.Add([]byte(`{"per_link": [{"link": 0, "required": 0.5}, {"link": 0, "required": 0.7}]}`))
+	f.Add([]byte(`{"per_link": [{"link": 4000000000, "required": 0.5}]}`))
+	events := recordRun(f, 100)
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		path := filepath.Join(t.TempDir(), "slo.json")
+		if err := os.WriteFile(path, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code := cli.ExitCode(run(context.Background(), []string{"-check", "-slo", path, events}, io.Discard, io.Discard))
+		if code < 0 || code > 2 {
+			t.Fatalf("exit %d", code)
+		}
+		if _, err := targetsFromSLODoc(path); err != nil && code != 2 {
+			t.Fatalf("malformed document (%v) exited %d, want 2", err, code)
+		}
+	})
 }

@@ -20,6 +20,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,50 +28,44 @@ import (
 	"os"
 	"strings"
 
+	"rtmac/internal/cli"
 	"rtmac/internal/rundiff"
 	"rtmac/internal/telemetry"
 )
 
-func main() {
-	code, err := run(os.Args[1:], os.Stdout)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rundiff: %v\n", err)
-	}
-	os.Exit(code)
-}
+func main() { cli.Main("rundiff", run) }
 
-// run is the testable entry point returning the process exit code.
-func run(args []string, stdout io.Writer) (int, error) {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("rundiff", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(stderr)
 	var (
 		mode       = fs.String("mode", "auto", "stream type: auto, events, journeys or csv")
 		window     = fs.Int("window", rundiff.DefaultWindow, "context lines kept per side at the divergence")
 		checkEqual = fs.Bool("check-equal", false, "expect equality: print a one-line verdict only")
 		asJSON     = fs.Bool("json", false, "emit the report as JSON")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2, nil // flag package already printed the error
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if fs.NArg() != 2 {
-		return 2, fmt.Errorf("want exactly two input files, got %d", fs.NArg())
+		return fmt.Errorf("want exactly two input files, got %d", fs.NArg())
 	}
 	pathA, pathB := fs.Arg(0), fs.Arg(1)
 	m := *mode
 	if m == "auto" {
 		var err error
 		if m, err = detectMode(pathA); err != nil {
-			return 2, err
+			return err
 		}
 	}
 	fa, err := os.Open(pathA)
 	if err != nil {
-		return 2, err
+		return err
 	}
 	defer fa.Close()
 	fb, err := os.Open(pathB)
 	if err != nil {
-		return 2, err
+		return err
 	}
 	defer fb.Close()
 	opts := rundiff.Options{Window: *window}
@@ -81,7 +76,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 	case "events":
 		d, err := rundiff.DiffEvents(fa, fb, opts)
 		if err != nil {
-			return 2, err
+			return err
 		}
 		equal, report = d.Equal, d
 		if !*asJSON {
@@ -96,7 +91,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 	case "journeys":
 		d, err := rundiff.DiffJourneys(fa, fb, opts)
 		if err != nil {
-			return 2, err
+			return err
 		}
 		equal, report = d.Equal, d
 		if !*asJSON {
@@ -115,7 +110,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 	case "csv":
 		d, err := rundiff.DiffCSV(fa, fb)
 		if err != nil {
-			return 2, err
+			return err
 		}
 		equal, report = d.Equal, d
 		if !*asJSON {
@@ -126,19 +121,19 @@ func run(args []string, stdout io.Writer) (int, error) {
 			}
 		}
 	default:
-		return 2, fmt.Errorf("unknown -mode %q (want auto, events, journeys or csv)", m)
+		return fmt.Errorf("unknown -mode %q (want auto, events, journeys or csv)", m)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
-			return 2, err
+			return err
 		}
 	}
-	if equal {
-		return 0, nil
+	if !equal {
+		return cli.Found
 	}
-	return 1, nil
+	return nil
 }
 
 // detectMode probes a file to classify it: a schema header names the stream

@@ -11,17 +11,11 @@
 //	tracequery -link 3 journeys.jsonl      # one link only
 //	tracequery -check journeys.jsonl       # validate every span; exit 1 on malformed
 //	rtmacsim -journeys /dev/stdout ... | tracequery -check -
+//
+// Exit codes: 0 success, 1 a malformed stream (or, with -check, an invalid
+// span), 2 usage or I/O error.
 package main
 
-import (
-	"fmt"
-	"os"
-)
+import "rtmac/internal/cli"
 
-func main() {
-	code, err := run(os.Args[1:], os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracequery:", err)
-	}
-	os.Exit(code)
-}
+func main() { cli.Main("tracequery", run) }

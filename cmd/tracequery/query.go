@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -8,14 +9,15 @@ import (
 	"sort"
 	"strings"
 
+	"rtmac/internal/cli"
 	"rtmac/internal/journey"
 )
 
-// run is the testable entry point: parses args, executes the query, writes
-// to stdout, and returns the process exit code.
-func run(args []string, stdout io.Writer) (int, error) {
+// run parses args, executes the query over the input file (or stdin) and
+// writes the result to stdout.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tracequery", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(stderr)
 	var (
 		check  = fs.Bool("check", false, "validate every journey and exit 1 on the first malformed span")
 		link   = fs.Int("link", -1, "restrict to one link (-1 = all)")
@@ -23,30 +25,30 @@ func run(args []string, stdout io.Writer) (int, error) {
 		byLink = fs.Bool("by-link", false, "print a per-link attribution table")
 		n      = fs.Int("print", 0, "pretty-print the first n matching journeys")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2, nil // flag package already printed the error
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *cause != "" && !journey.ValidCause(*cause) {
-		return 2, fmt.Errorf("unknown cause %q (one of %s)", *cause, strings.Join(journey.Causes(), ", "))
+		return fmt.Errorf("unknown cause %q (one of %s)", *cause, strings.Join(journey.Causes(), ", "))
 	}
 	in, name, err := openInput(fs.Args())
 	if err != nil {
-		return 2, err
+		return err
 	}
 	defer in.Close()
 
 	js, err := journey.Decode(in)
 	if err != nil {
-		return 1, fmt.Errorf("%s: %w", name, err)
+		return cli.Check(fmt.Errorf("%s: %w", name, err))
 	}
 	if *check {
 		for i := range js {
 			if err := js[i].Validate(); err != nil {
-				return 1, fmt.Errorf("%s: line %d: %w", name, js[i].Line(), err)
+				return cli.Finding(fmt.Errorf("%s: line %d: %w", name, js[i].Line(), err))
 			}
 		}
 		fmt.Fprintf(stdout, "ok: %d journeys, all spans valid\n", len(js))
-		return 0, nil
+		return nil
 	}
 
 	js = filter(js, *link, *cause)
@@ -65,7 +67,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 			writeJourney(stdout, &js[i])
 		}
 	}
-	return 0, nil
+	return nil
 }
 
 // openInput resolves the positional argument to a reader: a path, "-" or no

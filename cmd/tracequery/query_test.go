@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"rtmac"
+	"rtmac/internal/cli"
 )
 
 // updateGolden regenerates the checked-in golden outputs:
@@ -72,11 +74,8 @@ func writeInput(t *testing.T, input []byte) string {
 func runQuery(t *testing.T, input []byte, args ...string) (string, int) {
 	t.Helper()
 	var out bytes.Buffer
-	code, err := run(append(args, writeInput(t, input)), &out)
-	if code == 0 && err != nil {
-		t.Fatalf("exit 0 with error: %v", err)
-	}
-	return out.String(), code
+	err := run(context.Background(), append(args, writeInput(t, input)), &out, io.Discard)
+	return out.String(), cli.ExitCode(err)
 }
 
 // TestGoldenOutput pins tracequery's exact output for a fixed seed, for the
@@ -146,7 +145,7 @@ func TestCheckMode(t *testing.T) {
 		t.Fatalf("blank line: exit %d, %q; want %d journeys", code, out, len(js))
 	}
 	bad := bytes.Join([][]byte{lines[0], lines[1], []byte("\n"), []byte("{\n"), bytes.Join(lines[2:], nil)}, nil)
-	if _, err := run([]string{"-check", writeInput(t, bad)}, io.Discard); err == nil ||
+	if err := run(context.Background(), []string{"-check", writeInput(t, bad)}, io.Discard, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "line 4:") {
 		t.Fatalf("malformed line 4 reported as %v", err)
 	}
@@ -156,7 +155,7 @@ func TestCheckMode(t *testing.T) {
 	if _, code := runQuery(t, invalid, "-check"); code != 1 {
 		t.Fatal("invalid span accepted by -check")
 	}
-	if _, err := run([]string{"-check", writeInput(t, append([]byte("\n"), invalid...))}, io.Discard); err == nil ||
+	if err := run(context.Background(), []string{"-check", writeInput(t, append([]byte("\n"), invalid...))}, io.Discard, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "line 2:") {
 		t.Fatalf("invalid span on line 2 reported as %v", err)
 	}
@@ -184,10 +183,10 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatal("unknown cause accepted")
 	}
 	var out bytes.Buffer
-	if code, _ := run([]string{"a.jsonl", "b.jsonl"}, &out); code != 2 {
+	if code := cli.ExitCode(run(context.Background(), []string{"a.jsonl", "b.jsonl"}, &out, io.Discard)); code != 2 {
 		t.Fatal("two positional files accepted")
 	}
-	if code, _ := run([]string{"/nonexistent/path.jsonl"}, &out); code != 2 {
+	if code := cli.ExitCode(run(context.Background(), []string{"/nonexistent/path.jsonl"}, &out, io.Discard)); code != 2 {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -241,7 +240,7 @@ func FuzzQuery(f *testing.F) {
 		}
 		for _, args := range [][]string{nil, {"-by-link"}, {"-check"}} {
 			var out bytes.Buffer
-			code, _ := run(append(args, path), &out)
+			code := cli.ExitCode(run(context.Background(), append(args, path), &out, io.Discard))
 			if code != 0 && code != 1 {
 				t.Fatalf("%v: exit %d", args, code)
 			}
@@ -252,4 +251,29 @@ func FuzzQuery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestExitCodes drives run through the exit contract: 0 success or -h, 1 a
+// malformed stream or invalid span under -check, 2 usage or I/O error.
+func TestExitCodes(t *testing.T) {
+	good := writeInput(t, fixedJourneys(t))
+	malformed := writeInput(t, []byte("this is not json\n"))
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"summary", []string{good}, 0},
+		{"-h", []string{"-h"}, 0},
+		{"malformed under -check", []string{"-check", malformed}, 1},
+		{"bad flag", []string{"-nosuch", good}, 2},
+		{"bad -cause", []string{"-cause", "gremlins", good}, 2},
+		{"bad -link", []string{"-link", "x", good}, 2},
+		{"unreadable input", []string{t.TempDir()}, 2},
+	} {
+		err := run(context.Background(), tc.args, io.Discard, io.Discard)
+		if got := cli.ExitCode(err); got != tc.want {
+			t.Errorf("%s: exit %d (%v), want %d", tc.name, got, err, tc.want)
+		}
+	}
 }

@@ -104,6 +104,22 @@ func CapacityFrontier(cfg Config, probeIntervals int) (float64, error) {
 	return gamma, nil
 }
 
+// SubsetBoundViolation scans the subset-level necessary bounds of cfg's
+// requirement vector (up to 14 links), estimating each subset's capacity
+// from samples seeded by cfg.Seed, and describes the worst violated subset,
+// or returns "" when every bound holds.
+func SubsetBoundViolation(cfg Config, samples int) (string, error) {
+	problem, err := toProblem(cfg)
+	if err != nil {
+		return "", err
+	}
+	msg, err := feasibility.SubsetBoundViolation(problem, cfg.Seed, samples)
+	if err != nil {
+		return "", fmt.Errorf("rtmac: %w", err)
+	}
+	return msg, nil
+}
+
 // ProtocolCapacity binary-searches the largest requirement scale γ that the
 // GIVEN policy (not the optimal one) still fulfills on cfg's network. The
 // gap between ProtocolCapacity and CapacityFrontier is exactly the capacity

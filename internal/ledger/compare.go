@@ -5,6 +5,39 @@ package ledger
 // the dashboard's compare page to label both sides. Like History, the obs
 // package treats it as opaque JSON.
 
+// plane is the part of the observability plane (obs.Plane) that serves
+// ledger documents.
+type plane interface {
+	SetRunsProvider(func() any)
+	SetCompareProvider(func(refA, refB string) any)
+}
+
+// Serve attaches the ledger at dir to a plane's /api/runs and /api/compare
+// endpoints. Each request re-reads the ledger, so records appended after the
+// server starts show up without a restart; a failed read serves an empty
+// history, and a failed comparison names its error in the document.
+func Serve(p plane, dir string) error {
+	store, err := Open(dir)
+	if err != nil {
+		return err
+	}
+	p.SetRunsProvider(func() any {
+		h, err := BuildHistory(store, 200)
+		if err != nil {
+			return &History{Enabled: true, Dir: store.Dir()}
+		}
+		return h
+	})
+	p.SetCompareProvider(func(refA, refB string) any {
+		c, err := BuildCompare(store, refA, refB, DiffOptions{})
+		if err != nil {
+			return &Compare{Enabled: true, Dir: store.Dir(), Error: err.Error()}
+		}
+		return c
+	})
+	return nil
+}
+
 // Compare is the full document.
 type Compare struct {
 	// Enabled reports whether a ledger is attached at all.

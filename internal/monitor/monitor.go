@@ -14,12 +14,18 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 
 	"rtmac/internal/medium"
 	"rtmac/internal/sim"
 	"rtmac/internal/telemetry"
 )
+
+// ErrViolation is what a Strict monitor's Err wraps: the run broke an
+// invariant. Callers tell a strict abort from other run failures with
+// errors.Is.
+var ErrViolation = errors.New("invariant violation")
 
 // Violation is one invariant breach.
 type Violation struct {
@@ -189,7 +195,7 @@ func (m *Monitor) report(v Violation) {
 		c.Inc()
 	}
 	if m.strict && m.err == nil {
-		m.err = fmt.Errorf("monitor: %s", v)
+		m.err = fmt.Errorf("monitor: %w: %s", ErrViolation, v)
 	}
 	if m.output != nil {
 		m.output.Emit(v.Event())

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -380,6 +381,9 @@ func TestStrictModeStickyError(t *testing.T) {
 	}
 	if !strings.Contains(m.Err().Error(), "collision_free") {
 		t.Errorf("error %q does not name the check", m.Err())
+	}
+	if !errors.Is(fmt.Errorf("mac: interval 0: %w", m.Err()), ErrViolation) {
+		t.Errorf("wrapped error %q does not match ErrViolation", m.Err())
 	}
 	first := m.Err()
 	m.Emit(txEvent(1, 1, 1300, 200, outcomeCollided))

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"rtmac/internal/sim"
@@ -280,6 +281,10 @@ type Engine struct {
 	attempts  []int
 	edges     [][2]int
 	wired     bool // neighborhood drift series built
+	// untargeted is one more than the lowest transmitting link id at or
+	// beyond Links, the first link the requirement vector has no target for;
+	// 0 while there is none.
+	untargeted int
 
 	// mu guards everything below: detector state advanced per interval and
 	// the alert ledger read by concurrent accessors.
@@ -363,7 +368,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("watch: link %d requirement %v is not a finite non-negative rate", i, q)
 		}
 	}
-	if cfg.Budget < 0 || cfg.Budget > 1 {
+	if !(cfg.Budget >= 0 && cfg.Budget <= 1) {
 		return nil, fmt.Errorf("watch: miss budget %v outside [0,1]", cfg.Budget)
 	}
 	cfg.fill()
@@ -403,7 +408,13 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Emit(ev telemetry.Event) {
 	switch ev.Kind {
 	case telemetry.EventTx:
-		if ev.Link < 0 || ev.Link >= e.cfg.Links || ev.Fields.Get("empty") != 0 {
+		if ev.Link < 0 || ev.Link >= e.cfg.Links {
+			if ev.Link >= 0 && (e.untargeted == 0 || ev.Link < e.untargeted-1) {
+				e.untargeted = ev.Link + 1
+			}
+			return
+		}
+		if ev.Fields.Get("empty") != 0 {
 			return
 		}
 		e.attempts[ev.Link]++
@@ -557,6 +568,26 @@ func (e *Engine) Alerts() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]Alert(nil), e.retained...)
+}
+
+// Untargeted returns the lowest link id the stream transmitted on that lies
+// beyond the requirement vector, so the engine judged none of its traffic.
+// Read it once the stream has been consumed.
+func (e *Engine) Untargeted() (link int, ok bool) {
+	return e.untargeted - 1, e.untargeted > 0
+}
+
+// FormatCounts renders per-detector counts as "detector=count" pairs sorted
+// by detector name.
+func FormatCounts(counts map[string]int64) string {
+	parts := make([]string, 0, len(counts))
+	for d, n := range counts {
+		parts = append(parts, fmt.Sprintf("%s=%d", d, n))
+	}
+	// '=' sorts below every character of a detector name ([a-z_]+), so
+	// sorting the pairs sorts by name.
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
 }
 
 // ByDetector returns the per-detector firing counts.

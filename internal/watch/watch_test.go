@@ -2,6 +2,7 @@ package watch
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +68,7 @@ func TestConfigValidation(t *testing.T) {
 		{Links: 2, Required: []float64{0.5}},
 		{Links: 1, Required: []float64{-0.1}},
 		{Links: 1, Required: []float64{0.5}, Budget: 1.5},
+		{Links: 1, Required: []float64{0.5}, Budget: math.NaN()},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

@@ -45,6 +45,8 @@ func TestNewSimulationValidation(t *testing.T) {
 		}},
 		{"ratio above one", func(c *rtmac.Config) { c.Links[0].DeliveryRatio = 1.5 }},
 		{"negative required", func(c *rtmac.Config) { c.Links[0].Required = -1; c.Links[0].DeliveryRatio = 0 }},
+		{"slo budget above one", func(c *rtmac.Config) { c.SLO = &rtmac.SLOConfig{Budget: 1.5} }},
+		{"NaN slo budget", func(c *rtmac.Config) { c.SLO = &rtmac.SLOConfig{Budget: math.NaN()} }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -103,25 +103,7 @@ func (s *Simulation) linkBoard() LinkBoard {
 // ledger, so records appended after the server starts — including this run's
 // own, appended when it finishes — show up without a restart.
 func (o *Observability) ServeRunLedger(dir string) error {
-	store, err := ledger.Open(dir)
-	if err != nil {
-		return err
-	}
-	o.plane.SetRunsProvider(func() any {
-		h, err := ledger.BuildHistory(store, 200)
-		if err != nil {
-			return &ledger.History{Enabled: true, Dir: store.Dir()}
-		}
-		return h
-	})
-	o.plane.SetCompareProvider(func(refA, refB string) any {
-		c, err := ledger.BuildCompare(store, refA, refB, ledger.DiffOptions{})
-		if err != nil {
-			return &ledger.Compare{Enabled: true, Dir: store.Dir(), Error: err.Error()}
-		}
-		return c
-	})
-	return nil
+	return ledger.Serve(o.plane, dir)
 }
 
 // Addr returns the bound listen address.

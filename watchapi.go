@@ -34,7 +34,7 @@ func (c *SLOConfig) validate(links int) error {
 			return fmt.Errorf("slo: link %d target %v is not a finite non-negative rate", i, q)
 		}
 	}
-	if c.Budget < 0 || c.Budget > 1 {
+	if !(c.Budget >= 0 && c.Budget <= 1) {
 		return fmt.Errorf("slo: miss budget %v outside [0, 1]", c.Budget)
 	}
 	return nil
